@@ -18,7 +18,6 @@ from ploop.runtime import (
     RoutingRule,
     RoutingTable,
     World,
-    register_node,
     tick,
 )
 
@@ -35,9 +34,9 @@ world = World(
     latency=LatencyMap(default=1, pairs={("garage", "mfg"): 2}),
     partitions=(PartitionWindow("mfg", "garage", 4, 6),),
 )
-register_node(world, NodeKind.MANUFACTURER, "mfg")
-register_node(world, NodeKind.REPAIR_GARAGE, "garage")
-register_node(world, NodeKind.PRODUCT_EMBEDDED, "pe")
+world.register_node(NodeKind.MANUFACTURER, "mfg")
+world.register_node(NodeKind.REPAIR_GARAGE, "garage")
+world.register_node(NodeKind.PRODUCT_EMBEDDED, "pe")
 
 pid = mint_product_id("rx-7", "urn:mfg:acme")
 world.register_product(pid, generation=1, phase=LifecyclePhase.EOL_USE, node="pe")
@@ -63,4 +62,4 @@ print("\nfinal placement:")
 for agent_id, where in sorted(world.census().items()):
     print(f"  {agent_id:<12} {where}")
 print("product phase:", world.products[pid.render()].phase.value)
-print("records at mfg:", len(world.nodes["mfg"].repository))
+print("records at mfg:", len(world.repository))

@@ -29,8 +29,7 @@ print("=== comparison ===")
 print(summary.to_text())
 
 # What the designer actually gets to read at the manufacturer:
-repo = feedback.world.nodes["mfg"].repository
-insight = aggregate(repo, "px-100@urn:mfg:acme", 1)
+insight = aggregate(feedback.world.repository, "px-100@urn:mfg:acme", 1)
 print("=== design insight for generation 1 ===")
 print(f"records: {insight.record_count} "
       f"(tacit {insight.tacit_count}, explicit {insight.explicit_count})")

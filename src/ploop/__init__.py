@@ -36,10 +36,9 @@ from .knowledge import (
     KnowledgeRepository,
     KnowledgeSource,
     aggregate,
-    check_loop_closure,
     classify_activity,
-    ingest_explicit,
-    ingest_tacit,
+    explicit_record,
+    tacit_record,
 )
 from .agents import AgentRole, AgentState, handle, plan_migration
 from .runtime import (
@@ -51,7 +50,6 @@ from .runtime import (
     SimParams,
     World,
     migrate,
-    register_node,
     route,
     tick,
 )

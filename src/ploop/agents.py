@@ -1,10 +1,9 @@
 """Behavior rules for the five agent roles.
 
 Agents are deterministic rule tables: ``handle`` maps (state, message,
-node context) to a new state plus a list of effects, and mutates nothing
-itself. The runtime owns all side effects; an agent's knowledge emissions,
-sends, memory writes, and migrations only happen when the runtime applies
-the returned effects.
+tick) to a list of effects and mutates nothing itself. The runtime owns
+all side effects; an agent's knowledge emissions, sends, memory writes,
+and migrations only happen when the runtime applies the returned effects.
 
 Role summary:
   AgentProduct   shadows one physical product (same id); turns sensor
@@ -15,9 +14,10 @@ Role summary:
                  collectively-sourced records.
   AgentImpact    watches environment-tagged sensor batches and emits
                  tacit impact records.
-  AgentKnowledge keeps the repository: inserts every record it is routed
-                 and fires the one-shot design trigger for the next
-                 generation when the threshold is crossed.
+  AgentKnowledge keeps the repository: every record it is routed goes
+                 into the world's one repository, and the runtime sends
+                 the design trigger from the keeper when an insert
+                 brings a generation's count to the threshold.
 """
 
 from __future__ import annotations
@@ -27,16 +27,8 @@ from enum import Enum
 from typing import Any, Collection, Mapping, Union
 
 from .identity import ProductID
-from .knowledge import (
-    Activity,
-    DesignTrigger,
-    KnowledgeMode,
-    KnowledgeRecord,
-    KnowledgeRepository,
-    KnowledgeSource,
-)
+from .knowledge import KnowledgeRecord, explicit_record, tacit_record
 from .messages import (
-    KEY_DESIGN_TRIGGER,
     KEY_SERVICE_ORDER,
     CustomerFeedback,
     FaultReported,
@@ -121,38 +113,20 @@ class UpdateMemory:
     value: Any
 
 
-Effect = Union[SendMessage, EmitKnowledge, RequestMigration, UpdateMemory, None]
+Effect = Union[SendMessage, EmitKnowledge, RequestMigration, UpdateMemory]
 
 
-@dataclass(frozen=True)
-class NodeContext:
-    """Read-only view of the hosting node handed to handlers."""
-
-    node_id: str
-    tick: int
-    repository: KnowledgeRepository
-    trigger_threshold: int = 10
-    trigger_rule_enabled: bool = True
+def _record_id(agent: AgentState, message: Message) -> str:
+    return f"kr-{agent.agent_id}-{message.msg_id}"
 
 
-def _tacit_record(
-    agent: AgentState, msg_id: str, batch: SensorBatch, tick: int
-) -> KnowledgeRecord:
-    return KnowledgeRecord(
-        record_id=f"kr-{agent.agent_id}-{msg_id}",
-        product_id=batch.product_id,
-        generation=batch.generation,
-        activity=Activity.INTELLIGENT_PRODUCT,
-        mode=KnowledgeMode.TACIT,
-        source=KnowledgeSource.SELF_SOURCE,
-        payload=f"{batch.category} {batch.note}".strip(),
-        created_at=tick,
-    )
+def _batch_record(agent: AgentState, message: Message, tick: int) -> KnowledgeRecord:
+    batch = message.payload
+    return tacit_record(_record_id(agent, message), batch.product_id, batch.generation,
+                        batch.category, batch.note, tick)
 
 
-def _handle_product(
-    agent: AgentState, message: Message, ctx: NodeContext
-) -> list[Effect]:
+def _handle_product(agent: AgentState, message: Message, tick: int) -> list[Effect]:
     payload = message.payload
     if isinstance(payload, SensorBatch):
         if not payload.events:
@@ -160,7 +134,7 @@ def _handle_product(
         seen = agent.memory.get("events_seen", 0) + len(payload.events)
         return [
             UpdateMemory("events_seen", seen),
-            EmitKnowledge(_tacit_record(agent, message.msg_id, payload, ctx.tick)),
+            EmitKnowledge(_batch_record(agent, message, tick)),
         ]
     if isinstance(payload, ServiceOrder):
         # Acknowledge the repair order; the runtime advances the phase.
@@ -169,9 +143,7 @@ def _handle_product(
     raise UnhandledMessage(f"AgentProduct has no rule for {payload_kind(payload)}")
 
 
-def _handle_service(
-    agent: AgentState, message: Message, ctx: NodeContext
-) -> list[Effect]:
+def _handle_service(agent: AgentState, message: Message, tick: int) -> list[Effect]:
     payload = message.payload
     if isinstance(payload, FaultReported):
         order = ServiceOrder(
@@ -179,74 +151,34 @@ def _handle_service(
             generation=payload.generation,
             detail=payload.detail,
         )
-        record = KnowledgeRecord(
-            record_id=f"kr-{agent.agent_id}-{message.msg_id}",
-            product_id=payload.product_id,
-            generation=payload.generation,
-            activity=Activity.INTELLIGENT_PRODUCT,
-            mode=KnowledgeMode.TACIT,
-            source=KnowledgeSource.SELF_SOURCE,
-            payload=f"service {payload.detail}".strip(),
-            created_at=ctx.tick,
-        )
+        record = tacit_record(_record_id(agent, message), payload.product_id,
+                              payload.generation, "service", payload.detail, tick)
         return [SendMessage(KEY_SERVICE_ORDER, order), EmitKnowledge(record)]
     raise UnhandledMessage(f"AgentService has no rule for {payload_kind(payload)}")
 
 
-def _handle_customer(
-    agent: AgentState, message: Message, ctx: NodeContext
-) -> list[Effect]:
+def _handle_customer(agent: AgentState, message: Message, tick: int) -> list[Effect]:
     payload = message.payload
     if isinstance(payload, CustomerFeedback):
-        record = KnowledgeRecord(
-            record_id=f"kr-{agent.agent_id}-{message.msg_id}",
-            product_id=payload.product_id,
-            generation=payload.generation,
-            activity=Activity.CUSTOMER,
-            mode=KnowledgeMode.EXPLICIT,
-            source=KnowledgeSource.COLLECTIVE,
-            payload=payload.text,
-            created_at=ctx.tick,
-        )
+        record = explicit_record(_record_id(agent, message), payload.product_id,
+                                 payload.generation, payload.text, tick)
         return [EmitKnowledge(record)]
     raise UnhandledMessage(f"AgentCustomer has no rule for {payload_kind(payload)}")
 
 
-def _handle_impact(
-    agent: AgentState, message: Message, ctx: NodeContext
-) -> list[Effect]:
+def _handle_impact(agent: AgentState, message: Message, tick: int) -> list[Effect]:
     payload = message.payload
     if isinstance(payload, SensorBatch):
         if payload.category != "environment" or not payload.events:
             return []
-        return [EmitKnowledge(_tacit_record(agent, message.msg_id, payload, ctx.tick))]
+        return [EmitKnowledge(_batch_record(agent, message, tick))]
     raise UnhandledMessage(f"AgentImpact has no rule for {payload_kind(payload)}")
 
 
-def _handle_knowledge(
-    agent: AgentState, message: Message, ctx: NodeContext
-) -> list[Effect]:
+def _handle_knowledge(agent: AgentState, message: Message, tick: int) -> list[Effect]:
     payload = message.payload
     if isinstance(payload, KnowledgeRecord):
-        effects: list[Effect] = [EmitKnowledge(payload)]
-        family = payload.family
-        generation = payload.generation
-        # Count includes the record being inserted by the effect above.
-        count_after = ctx.repository.count(family, generation) + 1
-        guard = f"trigger_sent:{family}:g{generation}"
-        if (
-            ctx.trigger_rule_enabled
-            and count_after >= ctx.trigger_threshold
-            and not agent.memory.get(guard)
-        ):
-            trigger = DesignTrigger(
-                family=family,
-                from_generation=generation,
-                next_generation=generation + 1,
-            )
-            effects.append(SendMessage(KEY_DESIGN_TRIGGER, trigger))
-            effects.append(UpdateMemory(guard, True))
-        return effects
+        return [EmitKnowledge(payload)]
     raise UnhandledMessage(f"AgentKnowledge has no rule for {payload_kind(payload)}")
 
 
@@ -259,20 +191,17 @@ _HANDLERS = {
 }
 
 
-def handle(
-    agent: AgentState, message: Message, ctx: NodeContext
-) -> tuple[AgentState, list[Effect]]:
-    """Dispatch one delivered message to the agent's role rules.
+def handle(agent: AgentState, message: Message, tick: int) -> list[Effect]:
+    """Dispatch one message delivered at tick to the agent's role rules.
 
-    Pure: returns the (possibly unchanged) state and the effects to apply.
-    Raises UnhandledMessage when the role has no rule for the payload
-    kind; the runtime logs that and leaves the agent untouched.
+    Pure: returns the effects to apply. Raises UnhandledMessage when the
+    role has no rule for the payload kind; the runtime logs that and
+    leaves the agent untouched.
     """
-    effects = _HANDLERS[agent.role](agent, message, ctx)
-    return agent, effects
+    return _HANDLERS[agent.role](agent, message, tick)
 
 
-def plan_migration(agent: AgentState, directory: Collection[str]) -> Effect:
+def plan_migration(agent: AgentState, directory: Collection[str]) -> RequestMigration | None:
     """Next hop from the itinerary, or None when there is nowhere to go.
 
     The head must be a registered node; the runtime pops it on arrival.

@@ -156,9 +156,10 @@ class Scenario:
 # -- load / save --------------------------------------------------------------
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args: Any) -> None:
+    """Raise unless cond; the message is formatted with args only then."""
     if not cond:
-        raise ScenarioValidationError(message)
+        raise ScenarioValidationError(message.format(*args))
 
 
 def _enum_value(enum_cls: Any, raw: Any, what: str) -> Any:
@@ -171,57 +172,93 @@ def _enum_value(enum_cls: Any, raw: Any, what: str) -> Any:
         ) from None
 
 
+# The exact types each JSON kind decodes to. Matching the type exactly
+# keeps bool, a subclass of int, out of integers and numbers.
+_KINDS = {
+    "an object": (dict,),
+    "a list": (list,),
+    "an integer": (int,),
+    "a number": (int, float),
+    "a boolean": (bool,),
+    "a string": (str,),
+}
+
+
+def _field(raw: dict[str, Any], key: str, kind: str, default: Any = None, what: str = "") -> Any:
+    """raw[key], or default when absent, required to be of the named kind."""
+    value = raw.get(key, default)
+    if type(value) not in _KINDS[kind]:
+        raise ScenarioValidationError(
+            f"{what}{key} must be {kind}, got {type(value).__name__}")
+    return value
+
+
+def _entries(raw: dict[str, Any], key: str, what: str = "") -> list[dict[str, Any]]:
+    """The list under raw[key] (empty when absent), each entry an object."""
+    entries = _field(raw, key, "a list", [], what)
+    for i, entry in enumerate(entries):
+        if type(entry) is not dict:
+            raise ScenarioValidationError(f"{what}{key}[{i}] must be an object")
+    return entries
+
+
+def _known(ref: Any, ids: set[str]) -> bool:
+    """Whether ref names a declared id; a non-string never does."""
+    return isinstance(ref, str) and ref in ids
+
+
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     _require(isinstance(doc, dict), "scenario document must be a JSON object")
     _require(doc.get("format") == SCENARIO_FORMAT,
-             f"unsupported scenario format {doc.get('format')!r}, expected {SCENARIO_FORMAT}")
+             "unsupported scenario format {!r}, expected {}", doc.get("format"), SCENARIO_FORMAT)
     name = doc.get("name")
     _require(isinstance(name, str) and bool(name), "scenario name must be a non-empty string")
-    seed = doc.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed must be a non-negative integer")
-    horizon = doc.get("horizon")
-    _require(isinstance(horizon, int) and horizon >= 1, "horizon must be an integer >= 1")
+    seed = _field(doc, "seed", "an integer", 0)
+    _require(seed >= 0, "seed must be a non-negative integer")
+    horizon = _field(doc, "horizon", "an integer")
+    _require(horizon >= 1, "horizon must be an integer >= 1")
 
     nodes: list[NodeDecl] = []
     node_ids: set[str] = set()
-    for raw in doc.get("nodes", []):
+    for raw in _entries(doc, "nodes"):
         node_id = raw.get("id")
         _require(isinstance(node_id, str) and bool(node_id), "node id must be a non-empty string")
-        _require(node_id not in node_ids, f"duplicate node id {node_id!r}")
+        _require(node_id not in node_ids, "duplicate node id {!r}", node_id)
         node_ids.add(node_id)
         nodes.append(NodeDecl(node_id, _enum_value(NodeKind, raw.get("kind"), f"node {node_id}")))
     _require(bool(nodes), "at least one node is required")
 
     products: list[ProductDecl] = []
     product_ids: set[str] = set()
-    for raw in doc.get("products", []):
+    for raw in _entries(doc, "products"):
         serial, uri = raw.get("serial"), raw.get("uri")
         try:
             mint_product_id(str(serial), str(uri))
         except ValueError as exc:
             raise ScenarioValidationError(f"product {serial!r}: {exc}") from None
         node = raw.get("node")
-        _require(node in node_ids, f"product {serial!r} references unknown node {node!r}")
-        generation = raw.get("generation", 1)
-        _require(isinstance(generation, int) and generation >= 1,
-                 f"product {serial!r}: generation must be an integer >= 1")
+        _require(_known(node, node_ids), "product {!r} references unknown node {!r}", serial, node)
+        what = f"product {serial!r}: "
+        generation = _field(raw, "generation", "an integer", 1, what)
+        _require(generation >= 1, "{}generation must be an integer >= 1", what)
         components = []
-        for c in raw.get("components", []):
+        for c in _entries(raw, "components", what):
             try:
                 components.append(ComponentCondition(
                     component=c["component"],
-                    condition=c["condition"],
-                    hazardous=bool(c.get("hazardous", False)),
+                    condition=_field(c, "condition", "a number", what=f"{what}component "),
+                    hazardous=_field(c, "hazardous", "a boolean", False, f"{what}component "),
                 ))
             except (KeyError, ValueError) as exc:
                 raise ScenarioValidationError(f"product {serial!r} component: {exc}") from None
         capabilities = tuple(
             _enum_value(PEIDCapability, c, f"product {serial!r} capability")
-            for c in raw.get("capabilities", [m.value for m in PEIDCapability])
+            for c in _field(raw, "capabilities", "a list", [m.value for m in PEIDCapability], what)
         )
         meta_raw = raw.get("intelligence_location")
         location_meta = None
         if meta_raw is not None:
+            _field(raw, "intelligence_location", "an object", what=what)
             location_meta = IntelligenceLocation(
                 channel=_enum_value(IntelligenceChannel, meta_raw.get("channel"),
                                     f"product {serial!r} intelligence channel"),
@@ -236,81 +273,84 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             node=node,
             components=tuple(components),
             capabilities=capabilities,
-            memory=dict(raw.get("memory", {})),
+            memory=dict(_field(raw, "memory", "an object", {}, what)),
             location_meta=location_meta,
         )
-        _require(decl.rendered_id not in product_ids, f"duplicate product {decl.rendered_id!r}")
+        _require(decl.rendered_id not in product_ids, "duplicate product {!r}", decl.rendered_id)
         product_ids.add(decl.rendered_id)
         products.append(decl)
 
     agents: list[AgentDecl] = []
     agent_ids: set[str] = set()
-    for raw in doc.get("agents", []):
+    for raw in _entries(doc, "agents"):
         agent_id = raw.get("id")
         _require(isinstance(agent_id, str) and bool(agent_id), "agent id must be a non-empty string")
-        _require(agent_id not in agent_ids, f"duplicate agent id {agent_id!r}")
+        _require(agent_id not in agent_ids, "duplicate agent id {!r}", agent_id)
         agent_ids.add(agent_id)
         role = _enum_value(AgentRole, raw.get("role"), f"agent {agent_id} role")
         home = raw.get("home")
-        _require(home in node_ids, f"agent {agent_id!r} references unknown node {home!r}")
+        _require(_known(home, node_ids), "agent {!r} references unknown node {!r}", agent_id, home)
         product = raw.get("product")
         if product is not None:
-            _require(product in product_ids,
-                     f"agent {agent_id!r} references unknown product {product!r}")
+            _require(_known(product, product_ids),
+                     "agent {!r} references unknown product {!r}", agent_id, product)
         _require(role is not AgentRole.PRODUCT or product is not None,
-                 f"agent {agent_id!r}: AgentProduct requires a product binding")
-        itinerary = tuple(raw.get("itinerary", []))
+                 "agent {!r}: AgentProduct requires a product binding", agent_id)
+        itinerary = tuple(_field(raw, "itinerary", "a list", [], f"agent {agent_id!r}: "))
         for stop in itinerary:
-            _require(stop in node_ids,
-                     f"agent {agent_id!r} itinerary references unknown node {stop!r}")
+            _require(_known(stop, node_ids),
+                     "agent {!r} itinerary references unknown node {!r}", agent_id, stop)
         agents.append(AgentDecl(agent_id, role, home, product, itinerary))
 
     rules = tuple(
-        RoutingRule(pattern=raw.get("pattern", ""), recipients=tuple(raw.get("recipients", [])))
-        for raw in doc.get("routing", [])
+        RoutingRule(pattern=_field(raw, "pattern", "a string", "", "routing rule "),
+                    recipients=tuple(_field(raw, "recipients", "a list", [], "routing rule ")))
+        for raw in _entries(doc, "routing")
     )
     try:
         routing = RoutingTable(rules=rules)
     except InvalidRoutingTable as exc:
         raise ScenarioValidationError(f"routing: {exc}") from None
 
-    latency_raw = doc.get("latency", {})
+    latency_raw = _field(doc, "latency", "an object", {})
     pairs: dict[tuple[str, str], int] = {}
-    for raw in latency_raw.get("pairs", []):
-        a, b, ticks_ = raw.get("a"), raw.get("b"), raw.get("ticks")
-        _require(a in node_ids and b in node_ids, f"latency pair ({a!r}, {b!r}) unknown node")
-        _require(a != b, f"latency pair ({a!r}, {b!r}) must name two distinct nodes")
-        _require(isinstance(ticks_, int) and ticks_ >= 1, "latency ticks must be an integer >= 1")
+    for raw in _entries(latency_raw, "pairs", "latency "):
+        a, b = raw.get("a"), raw.get("b")
+        _require(_known(a, node_ids) and _known(b, node_ids),
+                 "latency pair ({!r}, {!r}) unknown node", a, b)
+        _require(a != b, "latency pair ({!r}, {!r}) must name two distinct nodes", a, b)
+        ticks_ = _field(raw, "ticks", "an integer", what="latency ")
+        _require(ticks_ >= 1, "latency ticks must be an integer >= 1")
         key = (a, b) if a <= b else (b, a)
-        _require(key not in pairs, f"duplicate latency pair ({a!r}, {b!r})")
+        _require(key not in pairs, "duplicate latency pair ({!r}, {!r})", a, b)
         pairs[key] = ticks_
-    default_latency = latency_raw.get("default", 1)
-    _require(isinstance(default_latency, int) and default_latency >= 1,
-             "default latency must be an integer >= 1")
+    default_latency = _field(latency_raw, "default", "an integer", 1, "latency ")
+    _require(default_latency >= 1, "default latency must be an integer >= 1")
     latency = LatencyMap(default=default_latency, pairs=pairs)
 
     partitions: list[PartitionWindow] = []
-    for raw in doc.get("partitions", []):
+    for raw in _entries(doc, "partitions"):
         a, b = raw.get("a"), raw.get("b")
-        _require(a in node_ids and b in node_ids, f"partition ({a!r}, {b!r}) unknown node")
-        _require(a != b, f"partition ({a!r}, {b!r}) must name two distinct nodes")
-        lo, hi = raw.get("from_tick"), raw.get("to_tick")
-        _require(isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi,
-                 f"partition ({a!r}, {b!r}) needs 0 <= from_tick <= to_tick")
+        _require(_known(a, node_ids) and _known(b, node_ids),
+                 "partition ({!r}, {!r}) unknown node", a, b)
+        _require(a != b, "partition ({!r}, {!r}) must name two distinct nodes", a, b)
+        what = f"partition ({a!r}, {b!r}): "
+        lo = _field(raw, "from_tick", "an integer", what=what)
+        hi = _field(raw, "to_tick", "an integer", what=what)
+        _require(0 <= lo <= hi, "partition ({!r}, {!r}) needs 0 <= from_tick <= to_tick", a, b)
         partitions.append(PartitionWindow(a=a, b=b, from_tick=lo, to_tick=hi))
 
     stimuli: list[Stimulus] = []
-    for raw in doc.get("stimuli", []):
+    for raw in _entries(doc, "stimuli"):
         kind = raw.get("kind")
         _require(kind in STIMULUS_KINDS,
-                 f"stimulus kind {kind!r} is not one of {', '.join(STIMULUS_KINDS)}")
-        tick_ = raw.get("tick")
-        _require(isinstance(tick_, int) and 1 <= tick_ <= horizon,
-                 f"stimulus tick {tick_!r} must be within 1..{horizon}")
+                 "stimulus kind {!r} is not one of {}", kind, ", ".join(STIMULUS_KINDS))
+        tick_ = _field(raw, "tick", "an integer", what="stimulus ")
+        _require(1 <= tick_ <= horizon, "stimulus tick {!r} must be within 1..{}", tick_, horizon)
         node = raw.get("node")
-        _require(node in node_ids, f"stimulus references unknown node {node!r}")
+        _require(_known(node, node_ids), "stimulus references unknown node {!r}", node)
         product = raw.get("product")
-        _require(product in product_ids, f"stimulus references unknown product {product!r}")
+        _require(_known(product, product_ids), "stimulus references unknown product {!r}", product)
         stim = Stimulus(
             tick=tick_,
             node=node,
@@ -318,39 +358,45 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             product=product,
             category=raw.get("category", ""),
             note=raw.get("note", ""),
-            events=tuple(raw.get("events", [])),
+            events=tuple(_entries(raw, "events", "stimulus ")),
             text=raw.get("text", ""),
             detail=raw.get("detail", ""),
         )
         if kind == "sensor_batch":
             _require(stim.category in TACIT_CATEGORIES,
-                     f"sensor_batch category {stim.category!r} must be one of "
-                     f"{', '.join(TACIT_CATEGORIES)}")
+                     "sensor_batch category {!r} must be one of {}",
+                     stim.category, ", ".join(TACIT_CATEGORIES))
+            _require(type(stim.note) is str, "sensor_batch note must be a string")
             for event in stim.events:
-                _require({"sensor", "value", "unit"} <= set(event),
-                         "sensor_batch events need sensor, value, and unit fields")
+                _require({"sensor", "value", "unit"} <= event.keys()
+                         and type(event["sensor"]) is str and type(event["unit"]) is str
+                         and type(event["value"]) in _KINDS["a number"],
+                         "sensor_batch events need sensor and unit strings, "
+                         "and the value must be a number")
         if kind == "customer_feedback":
-            _require(bool(stim.text), "customer_feedback requires non-empty text")
+            _require(type(stim.text) is str and bool(stim.text),
+                     "customer_feedback requires non-empty text")
         if kind == "fault":
-            _require(bool(stim.detail), "fault requires a non-empty detail")
+            _require(type(stim.detail) is str and bool(stim.detail),
+                     "fault requires a non-empty detail")
         stimuli.append(stim)
 
-    params_raw = doc.get("params", {})
-    policy_raw = params_raw.get("eol_policy", {})
+    params_raw = _field(doc, "params", "an object", {})
     try:
+        policy_raw = _field(params_raw, "eol_policy", "an object", {})
         policy = EOLPolicy(
-            reuse_threshold=policy_raw.get("reuse_threshold", 0.8),
-            component_threshold=policy_raw.get("component_threshold", 0.6),
-            reclaim_threshold=policy_raw.get("reclaim_threshold", 0.3),
+            reuse_threshold=_field(policy_raw, "reuse_threshold", "a number", 0.8),
+            component_threshold=_field(policy_raw, "component_threshold", "a number", 0.6),
+            reclaim_threshold=_field(policy_raw, "reclaim_threshold", "a number", 0.3),
         )
         params = SimParams(
-            trigger_threshold=params_raw.get("trigger_threshold", 10),
+            trigger_threshold=_field(params_raw, "trigger_threshold", "an integer", 10),
             eol_policy=policy,
-            message_latency=params_raw.get("message_latency", 1),
-            design_ticks=params_raw.get("design_ticks", 3),
-            manufacture_ticks=params_raw.get("manufacture_ticks", 4),
-            disposal_ticks=params_raw.get("disposal_ticks", 1),
-            trigger_rule_enabled=bool(params_raw.get("trigger_rule_enabled", True)),
+            message_latency=_field(params_raw, "message_latency", "an integer", 1),
+            design_ticks=_field(params_raw, "design_ticks", "an integer", 3),
+            manufacture_ticks=_field(params_raw, "manufacture_ticks", "an integer", 4),
+            disposal_ticks=_field(params_raw, "disposal_ticks", "an integer", 1),
+            trigger_rule_enabled=_field(params_raw, "trigger_rule_enabled", "a boolean", True),
         )
     except Exception as exc:
         raise ScenarioValidationError(f"params: {exc}") from None
@@ -764,14 +810,7 @@ def write_run_files(
         json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
     paths["report_text"].write_text(report.to_text(), encoding="utf-8")
-    record_lines = [
-        record.to_json_line()
-        for node in world.nodes.values()
-        for record in node.repository.records
-    ]
-    paths["repository"].write_text(
-        "".join(line + "\n" for line in record_lines), encoding="utf-8"
-    )
+    world.repository.save(paths["repository"])
     return paths
 
 

@@ -1,11 +1,12 @@
-"""Knowledge repository with the two-axis record classification
-(mode: tacit/explicit, source: self/collective), the activity-to-mode
-table, aggregation into design insights, and the loop-closing trigger.
+"""Knowledge records with the two-axis classification (mode:
+tacit/explicit, source: self/collective), the activity-to-mode table, the
+two record builders agents use, the repository, and aggregation into
+design insights.
 
 Records are keyed to a product family (the rendered id of the original
 product) and a generation number so the repository can answer "how much
-have we learned about version N" and fire the next-generation design
-trigger exactly once.
+have we learned about version N". The runtime reads that count after each
+insert to fire the next-generation design trigger.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ ACTIVITY_MODES: dict[Activity, frozenset[KnowledgeMode]] = {
     Activity.INTELLIGENT_PRODUCT: _TACIT_ONLY,
 }
 
-# Categories an on-product event log summary may carry, in emission order.
+# Categories a sensor batch may carry.
 TACIT_CATEGORIES = ("use", "environment", "failure")
 
 
@@ -165,14 +166,12 @@ class DesignInsight:
 
 
 class KnowledgeRepository:
-    """Append-only record store with per-(family, generation) counting and
-    one-shot trigger bookkeeping."""
+    """Append-only record store with per-(family, generation) counting."""
 
     def __init__(self) -> None:
         self._records: list[KnowledgeRecord] = []
         self._ids: set[str] = set()
         self._counts: Counter[tuple[str, int]] = Counter()
-        self._triggers_issued: set[tuple[str, int]] = set()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -197,12 +196,6 @@ class KnowledgeRepository:
             if r.family == family and r.generation == generation
         )
 
-    def trigger_issued(self, family: str, generation: int) -> bool:
-        return (family, generation) in self._triggers_issued
-
-    def mark_trigger_issued(self, family: str, generation: int) -> None:
-        self._triggers_issued.add((family, generation))
-
     def save(self, path: Path | str) -> None:
         """Persist as JSON lines, one record per line, insertion order."""
         text = "".join(r.to_json_line() + "\n" for r in self._records)
@@ -217,22 +210,40 @@ class KnowledgeRepository:
         return repo
 
 
-def ingest_explicit(
-    repo: KnowledgeRepository,
+def tacit_record(
+    record_id: str,
+    product_id: ProductID,
+    generation: int,
+    category: str,
+    note: str,
+    tick: int,
+) -> KnowledgeRecord:
+    """An automatically collected observation: a self-sourced
+    IntelligentProduct record whose payload is the category and note."""
+    return KnowledgeRecord(
+        record_id=record_id,
+        product_id=product_id,
+        generation=generation,
+        activity=Activity.INTELLIGENT_PRODUCT,
+        mode=KnowledgeMode.TACIT,
+        source=KnowledgeSource.SELF_SOURCE,
+        payload=f"{category} {note}".strip(),
+        created_at=tick,
+    )
+
+
+def explicit_record(
+    record_id: str,
     product_id: ProductID,
     generation: int,
     feedback_text: str,
     tick: int,
-    record_id: str | None = None,
 ) -> KnowledgeRecord:
-    """Store one piece of customer feedback.
-
-    Feedback is always an explicit, collectively-sourced Customer record.
-    """
+    """Customer feedback: an explicit, collectively sourced Customer record."""
     if not feedback_text:
         raise EmptyFeedback("feedback text must be non-empty")
-    record = KnowledgeRecord(
-        record_id=record_id or f"kr-explicit-{len(repo):06d}",
+    return KnowledgeRecord(
+        record_id=record_id,
         product_id=product_id,
         generation=generation,
         activity=Activity.CUSTOMER,
@@ -241,42 +252,6 @@ def ingest_explicit(
         payload=feedback_text,
         created_at=tick,
     )
-    repo.insert(record)
-    return record
-
-
-def ingest_tacit(
-    repo: KnowledgeRepository,
-    peid_log_summary: dict[str, str],
-    product_id: ProductID,
-    generation: int,
-    tick: int,
-    record_id_prefix: str | None = None,
-) -> list[KnowledgeRecord]:
-    """Store automatically collected observations from an on-product log
-    summary, one record per category present (use, environment, failure).
-
-    All tacit records are self-sourced IntelligentProduct records. An
-    empty summary yields no records.
-    """
-    prefix = record_id_prefix or f"kr-tacit-{len(repo):06d}"
-    records: list[KnowledgeRecord] = []
-    for category in TACIT_CATEGORIES:
-        if category not in peid_log_summary:
-            continue
-        record = KnowledgeRecord(
-            record_id=f"{prefix}-{category}",
-            product_id=product_id,
-            generation=generation,
-            activity=Activity.INTELLIGENT_PRODUCT,
-            mode=KnowledgeMode.TACIT,
-            source=KnowledgeSource.SELF_SOURCE,
-            payload=f"{category} {peid_log_summary[category]}".strip(),
-            created_at=tick,
-        )
-        repo.insert(record)
-        records.append(record)
-    return records
 
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -304,29 +279,6 @@ def aggregate(repo: KnowledgeRepository, family: str, generation: int) -> Design
         tacit_count=tacit,
         explicit_count=explicit,
         top_issues=tuple(word for word, _ in ranked),
-    )
-
-
-def check_loop_closure(
-    repo: KnowledgeRepository, insight: DesignInsight, threshold: int
-) -> DesignTrigger | None:
-    """Return a trigger for the next generation once the record count
-    reaches the threshold; at most one trigger per (family, generation).
-
-    The repository remembers issued triggers, so repeated calls after the
-    threshold is crossed return None.
-    """
-    if threshold < 1:
-        raise KnowledgeError(f"threshold must be >= 1, got {threshold}")
-    if insight.record_count < threshold:
-        return None
-    if repo.trigger_issued(insight.family, insight.generation):
-        return None
-    repo.mark_trigger_issued(insight.family, insight.generation)
-    return DesignTrigger(
-        family=insight.family,
-        from_generation=insight.generation,
-        next_generation=insight.generation + 1,
     )
 
 

@@ -43,7 +43,6 @@ class LifecyclePhase(str, Enum):
 class LifecycleEvent(str, Enum):
     DESIGN_COMPLETE = "DesignComplete"
     MANUFACTURED = "Manufactured"
-    SHIPPED = "Shipped"
     DELIVERED = "Delivered"
     FAULT_REPORTED = "FaultReported"
     REPAIRED = "Repaired"
@@ -51,8 +50,7 @@ class LifecycleEvent(str, Enum):
     DISPOSITION_EXECUTED = "DispositionExecuted"
 
 
-# The complete legal transition table. Shipped appears in the event
-# vocabulary but is never legal here; manufacture hands off to
+# The complete legal transition table. Manufacture hands off to
 # distribution directly and delivery enters the extended EOL.
 TRANSITIONS: dict[tuple[LifecyclePhase, LifecycleEvent], LifecyclePhase] = {
     (LifecyclePhase.BOL_DESIGN, LifecycleEvent.DESIGN_COMPLETE): LifecyclePhase.BOL_MANUFACTURE,

@@ -17,9 +17,8 @@ pairs replay byte-identical logs:
      order; a delivery across a severed pair is blocked and logged
   5. resident agents with a pending itinerary plan one migration attempt
 
-All randomness comes from the world's seeded generator; the core rules
-never draw from it, so it exists for stochastic extensions and for
-stamping the seed into the log.
+The engine draws no random numbers: every order above is fixed by ticks
+and ids, so the seed only labels the run in its log.
 
 Fail-closed faults: partitioned migrations are refused at send time and
 logged; partitioned deliveries are dropped and logged; no message or agent
@@ -31,7 +30,6 @@ from __future__ import annotations
 import heapq
 import json
 import logging
-import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping
@@ -39,8 +37,8 @@ from typing import Any, Iterable, Mapping
 from .agents import (
     AgentRole,
     AgentState,
+    Effect,
     EmitKnowledge,
-    NodeContext,
     RequestMigration,
     SendMessage,
     UnhandledMessage,
@@ -71,6 +69,7 @@ from .lifecycle import (
     initial_state,
 )
 from .messages import (
+    KEY_DESIGN_TRIGGER,
     KEY_KNOWLEDGE_RECORD,
     FaultReported,
     Message,
@@ -290,9 +289,7 @@ class SimParams:
 class Node:
     node_id: str
     kind: NodeKind
-    inbox: list[str] = field(default_factory=list)
     resident_agents: set[str] = field(default_factory=set)
-    repository: KnowledgeRepository = field(default_factory=KnowledgeRepository)
 
 
 @dataclass
@@ -347,7 +344,6 @@ class World:
         partitions: tuple[PartitionWindow, ...] = (),
     ) -> None:
         self.seed = seed
-        self.rng = random.Random(seed)
         self.clock = 0
         self.routing = routing
         self.latency = latency
@@ -358,6 +354,8 @@ class World:
         self.in_flight: dict[str, Transfer] = {}
         self.products: dict[str, ProductState] = {}
         self.events: list[LoggedEvent] = []
+        # The one knowledge repository; only the keeper (AgentKnowledge) inserts.
+        self.repository = KnowledgeRepository()
         self.started_generations: set[tuple[str, int]] = set()
         self._pending: list[tuple[int, int, Message]] = []
         self._actions: list[tuple[int, int, Action]] = []
@@ -545,10 +543,6 @@ class World:
 
 
 # -- module operation surface ------------------------------------------------
-
-
-def register_node(world: World, kind: NodeKind, node_id: str | None = None) -> str:
-    return world.register_node(kind, node_id)
 
 
 def migrate(world: World, agent_id: str, target: str) -> World:
@@ -812,7 +806,6 @@ def _process_delivery(world: World, message: Message) -> None:
                 detail=detail_str(origin=message.origin_node, key=message.routing_key),
             )
             continue
-        world.nodes[location].inbox.append(message.msg_id)
         world.log(
             EVT_MESSAGE_DELIVERED,
             node=location,
@@ -820,15 +813,8 @@ def _process_delivery(world: World, message: Message) -> None:
             msg_id=message.msg_id,
             detail=detail_str(origin=message.origin_node, key=message.routing_key),
         )
-        ctx = NodeContext(
-            node_id=location,
-            tick=world.clock,
-            repository=world.nodes[location].repository,
-            trigger_threshold=world.params.trigger_threshold,
-            trigger_rule_enabled=world.params.trigger_rule_enabled,
-        )
         try:
-            new_state, effects = handle(agent, message, ctx)
+            effects = handle(agent, message, world.clock)
         except UnhandledMessage as exc:
             world.log(
                 EVT_UNHANDLED_MESSAGE,
@@ -838,15 +824,12 @@ def _process_delivery(world: World, message: Message) -> None:
                 detail=detail_str(kind=payload_kind(message.payload), reason=str(exc)),
             )
             continue
-        world.agents[agent_id] = new_state
         for effect in effects:
             _apply_effect(world, agent_id, effect)
 
 
-def _apply_effect(world: World, agent_id: str, effect: Any) -> None:
+def _apply_effect(world: World, agent_id: str, effect: Effect) -> None:
     agent = world.agents[agent_id]
-    if effect is None:
-        return
     if isinstance(effect, SendMessage):
         world.send(
             effect.routing_key, effect.payload, sender=agent_id,
@@ -878,9 +861,10 @@ def _apply_effect(world: World, agent_id: str, effect: Any) -> None:
 
 
 def _insert_record(world: World, agent: AgentState, record: KnowledgeRecord) -> None:
-    repository = world.nodes[agent.location].repository
+    """Insert at the keeper; the insert that brings its (family, generation)
+    to exactly the threshold sends the design trigger, so it fires once."""
     try:
-        repository.insert(record)
+        world.repository.insert(record)
     except DuplicateRecord:
         logger.debug("duplicate knowledge record dropped: %s", record.record_id)
         return
@@ -897,6 +881,12 @@ def _insert_record(world: World, agent: AgentState, record: KnowledgeRecord) -> 
             record_id=record.record_id,
         ),
     )
+    params = world.params
+    count = world.repository.count(record.family, record.generation)
+    if params.trigger_rule_enabled and count == params.trigger_threshold:
+        trigger = DesignTrigger(record.family, record.generation, record.generation + 1)
+        world.send(KEY_DESIGN_TRIGGER, trigger, sender=agent.agent_id,
+                   origin_node=agent.location)
 
 
 def _plan_itineraries(world: World) -> None:

@@ -36,7 +36,6 @@ from ploop.runtime import (
     RoutingTable,
     World,
     migrate,
-    register_node,
     route,
     tick,
 )
@@ -103,7 +102,7 @@ def test_criterion_3_migration_conservation_fuzz():
         for a, b in [sorted(rng.sample(range(6), 2))]
     )
     world = World(latency=LatencyMap(default=rng.randint(1, 3)), partitions=windows)
-    nodes = [register_node(world, NodeKind.CUSTOMER_SITE, f"n{i}") for i in range(6)]
+    nodes = [world.register_node(NodeKind.CUSTOMER_SITE, f"n{i}") for i in range(6)]
     spawned = 0
 
     def census_oracle():
@@ -270,7 +269,7 @@ def test_criterion_7_closed_loop_reaches_repository_at_traced_tick():
         ]
         assert lost == []
         assert len(submissions) == len(inserted) == 9
-        repo = result.world.nodes["mfg"].repository
+        repo = result.world.repository
         assert len(repo) == 9
         assert {r.family for r in repo.records} == {"px-100@urn:mfg:acme"}
         # The trigger fires exactly at the hand-traced tick.

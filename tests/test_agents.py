@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from ploop.agents import (
     AgentRole,
     AgentState,
     EmitKnowledge,
-    NodeContext,
     RequestMigration,
     SendMessage,
     UnhandledMessage,
@@ -21,14 +21,14 @@ from ploop.agents import (
 from ploop.identity import SensorEvent, mint_product_id
 from ploop.knowledge import (
     Activity,
-    DesignTrigger,
     KnowledgeMode,
     KnowledgeRecord,
-    KnowledgeRepository,
     KnowledgeSource,
+    explicit_record,
 )
 from ploop.messages import (
     KEY_DESIGN_TRIGGER,
+    KEY_KNOWLEDGE_RECORD,
     KEY_SERVICE_ORDER,
     CustomerFeedback,
     FaultReported,
@@ -36,6 +36,7 @@ from ploop.messages import (
     SensorBatch,
     ServiceOrder,
 )
+from ploop.runtime import NodeKind, tick
 
 PID = mint_product_id("px-1", "urn:mfg:acme")
 
@@ -51,14 +52,7 @@ def make_agent(role, agent_id="a-01", location="n1", itinerary=(), memory=None):
     )
 
 
-def ctx(repository=None, tick=5, threshold=10, enabled=True):
-    return NodeContext(
-        node_id="n1",
-        tick=tick,
-        repository=repository or KnowledgeRepository(),
-        trigger_threshold=threshold,
-        trigger_rule_enabled=enabled,
-    )
+TICK = 5
 
 
 def msg(payload, msg_id="m1", key="k"):
@@ -79,13 +73,11 @@ def emitted_records(effects):
 class TestAgentProduct:
     def test_empty_batch_is_identity(self):
         agent = make_agent(AgentRole.PRODUCT)
-        state, effects = handle(agent, msg(batch(n=0), "m1"), ctx())
-        assert state == agent
-        assert effects == []
+        assert handle(agent, msg(batch(n=0), "m1"), TICK) == []
 
     def test_batch_updates_memory_and_emits_tacit(self):
         agent = make_agent(AgentRole.PRODUCT)
-        _, effects = handle(agent, msg(batch(n=3), "m1"), ctx())
+        effects = handle(agent, msg(batch(n=3), "m1"), TICK)
         memory_updates = [e for e in effects if isinstance(e, UpdateMemory)]
         assert memory_updates == [UpdateMemory("events_seen", 3)]
         (record,) = emitted_records(effects)
@@ -96,13 +88,13 @@ class TestAgentProduct:
 
     def test_service_order_is_acknowledged(self):
         agent = make_agent(AgentRole.PRODUCT)
-        _, effects = handle(agent, msg(ServiceOrder(PID, 1, "overheat"), "m1"), ctx())
+        effects = handle(agent, msg(ServiceOrder(PID, 1, "overheat"), "m1"), TICK)
         assert effects == [UpdateMemory("service_orders_seen", 1)]
 
     def test_feedback_is_unhandled(self):
         with pytest.raises(UnhandledMessage):
             handle(make_agent(AgentRole.PRODUCT),
-                   msg(CustomerFeedback(PID, 1, "hi")), ctx())
+                   msg(CustomerFeedback(PID, 1, "hi")), TICK)
 
     def test_requires_product_binding(self):
         with pytest.raises(AgentError):
@@ -112,8 +104,8 @@ class TestAgentProduct:
 class TestAgentCustomer:
     def test_feedback_yields_one_explicit_collective_record(self):
         agent = make_agent(AgentRole.CUSTOMER)
-        _, effects = handle(
-            agent, msg(CustomerFeedback(PID, 1, "display too dim")), ctx())
+        effects = handle(
+            agent, msg(CustomerFeedback(PID, 1, "display too dim")), TICK)
         assert len(effects) == 1
         (record,) = emitted_records(effects)
         assert record.mode is KnowledgeMode.EXPLICIT
@@ -123,13 +115,13 @@ class TestAgentCustomer:
 
     def test_sensor_batch_is_unhandled(self):
         with pytest.raises(UnhandledMessage):
-            handle(make_agent(AgentRole.CUSTOMER), msg(batch()), ctx())
+            handle(make_agent(AgentRole.CUSTOMER), msg(batch()), TICK)
 
 
 class TestAgentService:
     def test_fault_yields_service_order_then_tacit_record(self):
         agent = make_agent(AgentRole.SERVICE)
-        _, effects = handle(agent, msg(FaultReported(PID, 1, "overheat"), "m1"), ctx())
+        effects = handle(agent, msg(FaultReported(PID, 1, "overheat"), "m1"), TICK)
         assert isinstance(effects[0], SendMessage)
         assert effects[0].routing_key == KEY_SERVICE_ORDER
         assert effects[0].payload == ServiceOrder(PID, 1, "overheat")
@@ -141,66 +133,70 @@ class TestAgentService:
 class TestAgentImpact:
     def test_environment_batch_emits_impact_record(self):
         agent = make_agent(AgentRole.IMPACT)
-        _, effects = handle(
-            agent, msg(batch(category="environment", note="humid")), ctx())
+        effects = handle(
+            agent, msg(batch(category="environment", note="humid")), TICK)
         (record,) = emitted_records(effects)
         assert record.mode is KnowledgeMode.TACIT
         assert record.payload == "environment humid"
 
     def test_non_environment_batch_is_ignored(self):
         agent = make_agent(AgentRole.IMPACT)
-        state, effects = handle(agent, msg(batch(category="use")), ctx())
-        assert (state, effects) == (agent, [])
+        assert handle(agent, msg(batch(category="use")), TICK) == []
+
+
+def design_trigger_sends(events):
+    return [e for e in events if e.event_kind == "message_sent"
+            and json.loads(e.detail)["key"] == KEY_DESIGN_TRIGGER]
 
 
 class TestAgentKnowledge:
     def record(self, i=0):
-        return KnowledgeRecord(
-            record_id=f"kr-{i}",
-            product_id=PID,
-            generation=1,
-            activity=Activity.CUSTOMER,
-            mode=KnowledgeMode.EXPLICIT,
-            source=KnowledgeSource.COLLECTIVE,
-            payload=f"issue {i}",
-            created_at=i,
-        )
+        return explicit_record(f"kr-{i}", PID, 1, f"issue {i}", i)
 
     def test_record_message_is_inserted(self):
         agent = make_agent(AgentRole.KNOWLEDGE)
-        _, effects = handle(agent, msg(self.record(), "m1"), ctx(threshold=10))
+        effects = handle(agent, msg(self.record(), "m1"), TICK)
         assert effects == [EmitKnowledge(self.record())]
 
-    def test_threshold_crossing_emits_exactly_one_trigger(self):
-        # Replay a scripted sequence; the oracle is a plain counter.
+    def test_threshold_crossing_emits_exactly_one_trigger(self, keeper_world):
+        # One record per tick; the oracle is a plain counter.
         threshold = 5
-        repo = KnowledgeRepository()
-        agent = make_agent(AgentRole.KNOWLEDGE)
-        triggers = 0
+        world = keeper_world(PID, threshold)
         for i in range(12):
-            _, effects = handle(agent, msg(self.record(i), f"m{i}"),
-                                ctx(repository=repo, threshold=threshold))
-            for effect in effects:
-                if isinstance(effect, EmitKnowledge):
-                    repo.insert(effect.record)
-                elif isinstance(effect, UpdateMemory):
-                    agent = apply_memory(agent, effect.key, effect.value)
-                elif isinstance(effect, SendMessage):
-                    assert effect.routing_key == KEY_DESIGN_TRIGGER
-                    assert effect.payload == DesignTrigger(PID.render(), 1, 2)
-                    triggers += 1
+            world.send(KEY_KNOWLEDGE_RECORD, self.record(i), "mfg", "mfg")
+            events = tick(world)
             expected = 1 if (i + 1) >= threshold else 0
-            assert triggers == expected
-        assert triggers == 1
+            assert len(design_trigger_sends(world.events)) == expected
+            if i + 1 == threshold:
+                # The keeper sends it from its node, right after the insert
+                # that brings the count to the threshold.
+                kinds = [e.event_kind for e in events]
+                assert kinds[-2:] == ["knowledge_inserted", "message_sent"]
+                assert (events[-1].agent, events[-1].node) == ("ak-01", "mfg")
+        assert [e.tick for e in world.events if e.event_kind == "design_trigger"] \
+            == [threshold + 1]
 
-    def test_disabled_rule_never_triggers(self):
-        repo = KnowledgeRepository()
-        agent = make_agent(AgentRole.KNOWLEDGE)
+    def test_disabled_rule_never_triggers(self, keeper_world):
+        world = keeper_world(PID, 3, enabled=False)
         for i in range(8):
-            _, effects = handle(agent, msg(self.record(i), f"m{i}"),
-                                ctx(repository=repo, threshold=3, enabled=False))
-            assert not any(isinstance(e, SendMessage) for e in effects)
-            repo.insert(effects[0].record)
+            world.send(KEY_KNOWLEDGE_RECORD, self.record(i), "mfg", "mfg")
+            tick(world)
+        assert len(world.repository) == 8
+        assert design_trigger_sends(world.events) == []
+
+    def test_two_keepers_insert_once_and_trigger_once(self, keeper_world):
+        # The world keeps one repository, so the second keeper's insert of
+        # the same record is a duplicate and cannot fire a second trigger.
+        world = keeper_world(PID, 2)
+        world.register_node(NodeKind.REPAIR_GARAGE, "garage")
+        world.spawn_agent(AgentRole.KNOWLEDGE, "garage", agent_id="ak-02")
+        for i in range(4):
+            world.send(KEY_KNOWLEDGE_RECORD, self.record(i), "mfg", "mfg")
+            tick(world)
+        inserted = [e for e in world.events if e.event_kind == "knowledge_inserted"]
+        assert len(inserted) == len(world.repository) == 4
+        assert {e.agent for e in inserted} == {"ak-01"}
+        assert [e.agent for e in design_trigger_sends(world.events)] == ["ak-01"]
 
 
 class TestPurityAndClosure:
@@ -224,10 +220,9 @@ class TestPurityAndClosure:
             for payload in self.all_payloads():
                 agent = make_agent(role, memory={"k": 1})
                 frozen = copy.deepcopy(agent)
-                context = ctx()
                 try:
-                    first = handle(agent, msg(payload), context)
-                    second = handle(agent, msg(payload), context)
+                    first = handle(agent, msg(payload), TICK)
+                    second = handle(agent, msg(payload), TICK)
                 except UnhandledMessage:
                     continue
                 assert agent == frozen
@@ -249,7 +244,7 @@ class TestPurityAndClosure:
             role = rng.choice(list(expected))
             payload = rng.choice(payloads)
             try:
-                _, effects = handle(make_agent(role), msg(payload, f"m{i}"), ctx())
+                effects = handle(make_agent(role), msg(payload, f"m{i}"), TICK)
             except UnhandledMessage:
                 continue
             for record in emitted_records(effects):
@@ -258,9 +253,8 @@ class TestPurityAndClosure:
             assert modes <= expected[role], role
 
     def test_product_identity_is_pinned(self):
-        agent = make_agent(AgentRole.PRODUCT)
-        state, effects = handle(agent, msg(batch(n=2), "m1"), ctx())
-        for effect in effects:
+        state = make_agent(AgentRole.PRODUCT)
+        for effect in handle(state, msg(batch(n=2), "m1"), TICK):
             if isinstance(effect, UpdateMemory):
                 state = apply_memory(state, effect.key, effect.value)
         assert state.product_id == PID

@@ -107,3 +107,51 @@ def test_log_level_values_accepted(fixtures_dir, monkeypatch):
     for level in ("error", "info", "debug"):
         monkeypatch.setenv("PLOOP_LOG_LEVEL", level)
         assert main(["validate", "--scenario", str(fixtures_dir / "minimal.scn")]) == 0
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        target = doc
+        for step in path:
+            target = target[step]
+        target[key] = value
+    return mutate
+
+
+# Each case: the mutation of closed_loop.scn and the part of the error
+# message that names the field.
+MISTYPED_FIELDS = {
+    "node entry is a list": (_set("nodes", 0, ["mfg", "Manufacturer"]),
+                             "nodes[0] must be an object"),
+    "latency is a list": (_set("latency", []), "latency must be an object"),
+    "params is a list": (_set("params", []), "params must be an object"),
+    "component condition is a string": (
+        _set("products", 0, "components", 0, "condition", "0.2"), "condition must be"),
+    "seed is a bool": (_set("seed", True), "seed must be"),
+    "horizon is a bool": (_set("horizon", True), "horizon must be"),
+    "trigger threshold is a float": (_set("params", "trigger_threshold", 2.5),
+                                     "trigger_threshold must be"),
+    "sensor value is a string": (_set("stimuli", 0, "events", 0, "value", "6.5"),
+                                 "value must be a number"),
+    "sensor unit is a number": (_set("stimuli", 0, "events", 0, "unit", 5),
+                                "unit strings"),
+    "feedback text is a number": (_set("stimuli", 4, "text", 123), "non-empty text"),
+    "trigger rule flag is a string": (_set("params", "trigger_rule_enabled", "no"),
+                                      "trigger_rule_enabled must be"),
+    "itinerary is a string": (_set("agents", 0, "itinerary", "mfg"), "itinerary must be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+def test_mistyped_field_exits_1_naming_it(case, fixtures_dir, tmp_path, capsys):
+    mutate, message = MISTYPED_FIELDS[case]
+    doc = json.loads((fixtures_dir / "closed_loop.scn").read_text())
+    mutate(doc)
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error:") and message in err

@@ -1,0 +1,75 @@
+"""Pinned sha256 digests of every output file that a run writes.
+
+The event log is ploop's behavioural contract, and the report and the
+repository file are derived from the same run. A refactor that claims to
+change nothing must leave all three byte-identical for the five fixtures
+and for three small generated scenarios kept under ``tests/golden/``
+(a three-product fleet, twenty parked agents beside one product, and six
+mobile agents under recurring partitions). Re-pin only for a deliberate
+format change, and say so in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from ploop.harness import load_scenario, run
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUTS = ("events.jsonl", "report.json", "repository.jsonl")
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+GOLDEN = {
+    "fixtures/baseline.scn": (
+        "838659f20bd14eab9b7345692820d713b6139ddefee768bbdafc71589bd42fec",
+        "5645e5068b69bb4dcc8e1906e7f9c646bbb8db6cc1ba48239582456ec65192ea",
+        "efbf89d2895f587c2f2fe04081f6a3c3e97418f59cd9419a2911a7d1588c3622",
+    ),
+    "fixtures/closed_loop.scn": (
+        "382f874c4a18855a54e578e32fa7fd27bc6d7a12ed455c807da30055135d75ca",
+        "ad47038904dd6b2f71c7d7bdc3bdadc8bbcdddbcfbaccc48b668c5c2789902eb",
+        "efbf89d2895f587c2f2fe04081f6a3c3e97418f59cd9419a2911a7d1588c3622",
+    ),
+    "fixtures/migration.scn": (
+        "345ead670689bb45dbede568622f2184d0df0f209d0680c934b311381184b132",
+        "56ed407dc1b9a59bb85d8371a6d1d5a90d6159aed2bd6ba39d359aa4a78fe7b3",
+        EMPTY,
+    ),
+    "fixtures/minimal.scn": (
+        "56b595ae774e53a97a76e7305694503859d7118bb37178a1dccfcda2e4bc655f",
+        "a4c51811a5accd643e530b271a33bd24927b6be94e5fa6b0e639719754bbf100",
+        EMPTY,
+    ),
+    "fixtures/partition.scn": (
+        "b587c10505822602d328206374e0f23a1404016e0cf643b4cad5e584a477c687",
+        "6af38c69c949257fdfc0a75fffdef09a9d34c3566ed8101cd4f49cc324892f7a",
+        "5b61f51979ae4285a2338b9441160a2455a1c6f31d4f2b45957b0f0e25e29a24",
+    ),
+    "tests/golden/fleet.scn": (
+        "a7505d4df6186a2e4357911988e13979dc5e5a035f4ddf955eae345d5dc5d57c",
+        "e40d4f0933a038ee9e8361b2eb22619f475896d5bb04aa7d282700411f6c9351",
+        "6faea2019d70d530e9178b35cb41519988a3f04532866ad3688e4bcd68dc2398",
+    ),
+    "tests/golden/idle.scn": (
+        "52038c8e22ad08821ef5284e79ebb5a2134c405eeb3bf412b4743a24567f9eb6",
+        "f8114e556688391457567d27c1a9033310f33d89882751092b85b6091f5170d7",
+        "cd09abad3dafada9f1af1908203122e4bd4188f5edf64fad7bf700c9ad91dfb1",
+    ),
+    "tests/golden/roaming.scn": (
+        "fbb92c8e0ded9e8fc8bedc4bee7acff4be25b92e6d98c44516d72bb387edc441",
+        "0d1bd993cf999b2329996dcee6a0b1a22a54292f639dbac36395913d78cc3ebf",
+        "3c39ecb4b5545285f7238fc517dcf0218ed0af33749d0c19cc37d3002c2b6c29",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario_path", sorted(GOLDEN))
+def test_run_outputs_match_pinned_digests(scenario_path, tmp_path):
+    scenario = load_scenario(ROOT / scenario_path)
+    run(scenario, out_dir=tmp_path)
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"{scenario.name}.{suffix}").read_bytes()).hexdigest()
+        for suffix in OUTPUTS
+    )
+    assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, GOLDEN[scenario_path]))

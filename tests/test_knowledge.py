@@ -5,8 +5,8 @@ import pytest
 
 from ploop.identity import mint_product_id
 from ploop.knowledge import (
+    TACIT_CATEGORIES,
     Activity,
-    DesignTrigger,
     EmptyFeedback,
     KnowledgeMode,
     KnowledgeRecord,
@@ -14,16 +14,30 @@ from ploop.knowledge import (
     KnowledgeSource,
     ModeMismatch,
     aggregate,
-    check_loop_closure,
     classify_activity,
-    ingest_explicit,
-    ingest_tacit,
+    explicit_record,
     normalize_payload,
     save_insight,
+    tacit_record,
 )
+from ploop.messages import KEY_KNOWLEDGE_RECORD
+from ploop.runtime import SimParams, SimulationError, tick
 
 PID = mint_product_id("px-9", "urn:mfg:acme")
 FAMILY = PID.render()
+
+
+def add_explicit(repo, text, tick_, generation=1):
+    record = explicit_record(f"kr-{len(repo):06d}", PID, generation, text, tick_)
+    repo.insert(record)
+    return record
+
+
+def add_tacit(repo, category, note, tick_, generation=1):
+    record = tacit_record(f"kr-{len(repo):06d}", PID, generation, category, note, tick_)
+    repo.insert(record)
+    return record
+
 
 # Golden activity-to-mode table; names normalize the source table's
 # spellings (Engennering & Design, Merketing & Lunch, Custommer).
@@ -107,20 +121,21 @@ class TestRecordInvariants:
 class TestIngestExplicit:
     def test_fields_are_forced(self):
         repo = KnowledgeRepository()
-        record = ingest_explicit(repo, PID, 1, "battery swells", 40)
+        record = add_explicit(repo, "battery swells", 40)
         assert record.activity is Activity.CUSTOMER
         assert record.mode is KnowledgeMode.EXPLICIT
         assert record.source is KnowledgeSource.COLLECTIVE
+        assert record.payload == "battery swells"
         assert len(repo) == 1
 
     def test_empty_feedback_rejected(self):
         with pytest.raises(EmptyFeedback):
-            ingest_explicit(KnowledgeRepository(), PID, 1, "", 40)
+            explicit_record("kr-1", PID, 1, "", 40)
 
     def test_n_feedbacks_count_n(self):
         repo = KnowledgeRepository()
         for i in range(17):
-            ingest_explicit(repo, PID, 1, f"feedback {i}", i)
+            add_explicit(repo, f"feedback {i}", i)
         insight = aggregate(repo, FAMILY, 1)
         assert insight.explicit_count == 17
         assert insight.record_count == 17
@@ -129,25 +144,18 @@ class TestIngestExplicit:
 class TestIngestTacit:
     def test_one_category_one_record(self):
         repo = KnowledgeRepository()
-        records = ingest_tacit(repo, {"failure": "overheat x3"}, PID, 1, 10)
-        assert len(records) == 1
-        assert records[0].mode is KnowledgeMode.TACIT
-        assert records[0].source is KnowledgeSource.SELF_SOURCE
-        assert records[0].activity is Activity.INTELLIGENT_PRODUCT
-
-    def test_empty_summary_yields_nothing(self):
-        assert ingest_tacit(KnowledgeRepository(), {}, PID, 1, 10) == []
+        record = add_tacit(repo, "failure", "overheat x3", 10)
+        assert len(repo) == 1
+        assert record.mode is KnowledgeMode.TACIT
+        assert record.source is KnowledgeSource.SELF_SOURCE
+        assert record.activity is Activity.INTELLIGENT_PRODUCT
+        assert record.payload == "failure overheat x3"
 
     def test_all_three_categories(self):
         repo = KnowledgeRepository()
-        summary = {"use": "6h daily", "environment": "humid", "failure": "overheat"}
-        records = ingest_tacit(repo, summary, PID, 1, 10)
-        assert len(records) == 3
+        records = [add_tacit(repo, category, "", 10) for category in TACIT_CATEGORIES]
+        assert [r.payload for r in records] == ["use", "environment", "failure"]
         assert all(r.mode is KnowledgeMode.TACIT for r in records)
-
-    def test_unknown_categories_are_ignored(self):
-        repo = KnowledgeRepository()
-        assert ingest_tacit(repo, {"weather": "sunny"}, PID, 1, 10) == []
 
 
 class TestAggregate:
@@ -160,34 +168,35 @@ class TestAggregate:
 
     def test_counts_add_up(self):
         repo = KnowledgeRepository()
-        ingest_tacit(repo, {"use": "a", "failure": "b", "environment": "c"}, PID, 1, 1)
-        ingest_explicit(repo, PID, 1, "one", 2)
-        ingest_explicit(repo, PID, 1, "two", 3)
+        for category, note in (("use", "a"), ("failure", "b"), ("environment", "c")):
+            add_tacit(repo, category, note, 1)
+        add_explicit(repo, "one", 2)
+        add_explicit(repo, "two", 3)
         insight = aggregate(repo, FAMILY, 1)
         assert (insight.record_count, insight.tacit_count, insight.explicit_count) \
             == (5, 3, 2)
 
     def test_generation_filter(self):
         repo = KnowledgeRepository()
-        ingest_explicit(repo, PID, 1, "gen one", 1)
-        ingest_explicit(repo, PID, 2, "gen two", 2)
+        add_explicit(repo, "gen one", 1)
+        add_explicit(repo, "gen two", 2, generation=2)
         assert aggregate(repo, FAMILY, 1).record_count == 1
         assert aggregate(repo, FAMILY, 2).record_count == 1
 
     def test_top_issues_ranked_by_frequency_then_lexicographic(self):
         repo = KnowledgeRepository()
-        ingest_explicit(repo, PID, 1, "display dim", 1)
-        ingest_explicit(repo, PID, 1, "display flicker", 2)
-        ingest_explicit(repo, PID, 1, "battery swells", 3)
+        add_explicit(repo, "display dim", 1)
+        add_explicit(repo, "display flicker", 2)
+        add_explicit(repo, "battery swells", 3)
         insight = aggregate(repo, FAMILY, 1)
         assert insight.top_issues[0] == "display"
         assert insight.top_issues[1:] == ("battery", "dim", "flicker", "swells")
 
     def test_word_set_counts_once_per_record(self):
         repo = KnowledgeRepository()
-        ingest_explicit(repo, PID, 1, "noise noise noise", 1)
-        ingest_explicit(repo, PID, 1, "buzz", 2)
-        ingest_explicit(repo, PID, 1, "buzz again", 3)
+        add_explicit(repo, "noise noise noise", 1)
+        add_explicit(repo, "buzz", 2)
+        add_explicit(repo, "buzz again", 3)
         insight = aggregate(repo, FAMILY, 1)
         assert insight.top_issues[0] == "buzz"
 
@@ -201,10 +210,10 @@ class TestAggregate:
             gen = rng.randint(1, 2)
             payload = " ".join(rng.sample(words, rng.randint(1, 3)))
             if rng.random() < 0.5:
-                ingest_tacit(repo, {"use": payload}, PID, gen, i)
+                add_tacit(repo, "use", payload, i, generation=gen)
                 expected_tacit += gen == 1
             else:
-                ingest_explicit(repo, PID, gen, payload, i)
+                add_explicit(repo, payload, i, generation=gen)
                 expected_explicit += gen == 1
         insight = aggregate(repo, FAMILY, 1)
         # Full-scan recount, independent of the repository's indexing.
@@ -219,42 +228,59 @@ class TestAggregate:
 
 
 class TestLoopClosure:
-    def fill(self, repo, n):
-        for i in range(n):
-            ingest_explicit(repo, PID, 1, f"item {i}", i)
+    """The runtime's trigger rule, read off the log of a world whose one
+    keeper is sent one record per tick."""
 
-    def test_below_threshold_no_trigger(self):
-        repo = KnowledgeRepository()
-        self.fill(repo, 4)
-        assert check_loop_closure(repo, aggregate(repo, FAMILY, 1), 5) is None
+    def feed(self, world, records):
+        for record in records:
+            world.send(KEY_KNOWLEDGE_RECORD, record, "mfg", "mfg")
+            tick(world)
+        for _ in range(world.params.design_ticks + world.params.manufacture_ticks + 1):
+            tick(world)
 
-    def test_at_threshold_triggers_next_generation(self):
-        repo = KnowledgeRepository()
-        self.fill(repo, 5)
-        trigger = check_loop_closure(repo, aggregate(repo, FAMILY, 1), 5)
-        assert trigger == DesignTrigger(family=FAMILY, from_generation=1,
-                                        next_generation=2)
+    def records(self, n):
+        return [explicit_record(f"kr-{i}", PID, 1, f"item {i}", i) for i in range(n)]
 
-    def test_second_call_is_idempotent(self):
-        repo = KnowledgeRepository()
-        self.fill(repo, 9)
-        triggers = [
-            check_loop_closure(repo, aggregate(repo, FAMILY, 1), 5)
-            for _ in range(4)
-        ]
-        assert len([t for t in triggers if t is not None]) == 1
+    def kinds(self, world):
+        return [e.event_kind for e in world.events]
+
+    def test_below_threshold_no_trigger(self, keeper_world):
+        world = keeper_world(PID, 5)
+        self.feed(world, self.records(4))
+        assert "design_trigger" not in self.kinds(world)
+        assert "generation_started" not in self.kinds(world)
+
+    def test_at_threshold_triggers_next_generation(self, keeper_world):
+        world = keeper_world(PID, 5)
+        self.feed(world, self.records(5))
+        (trigger,) = [e for e in world.events if e.event_kind == "design_trigger"]
+        assert json.loads(trigger.detail) == {
+            "family": FAMILY, "from_generation": 1, "next_generation": 2}
+        assert (FAMILY, 2) in world.started_generations
+        assert "generation_launched" in self.kinds(world)
+
+    def test_second_call_is_idempotent(self, keeper_world):
+        # A record submitted again is a duplicate: it is neither counted
+        # nor able to reach the threshold a second time.
+        world = keeper_world(PID, 2)
+        first, second = self.records(2)
+        self.feed(world, [first, first])
+        assert len(world.repository) == 1
+        assert "design_trigger" not in self.kinds(world)
+        self.feed(world, [second, second, first])
+        assert len(world.repository) == 2
+        assert self.kinds(world).count("design_trigger") == 1
 
     def test_threshold_must_be_positive(self):
-        repo = KnowledgeRepository()
-        with pytest.raises(ValueError):
-            check_loop_closure(repo, aggregate(repo, FAMILY, 1), 0)
+        with pytest.raises(SimulationError):
+            SimParams(trigger_threshold=0)
 
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         repo = KnowledgeRepository()
-        ingest_explicit(repo, PID, 1, "battery swells", 40)
-        ingest_tacit(repo, {"failure": "overheat"}, PID, 1, 41)
+        add_explicit(repo, "battery swells", 40)
+        add_tacit(repo, "failure", "overheat", 41)
         path = tmp_path / "repo.jsonl"
         repo.save(path)
         loaded = KnowledgeRepository.load(path)
@@ -262,8 +288,8 @@ class TestPersistence:
 
     def test_insight_summary_file_is_flat(self, tmp_path):
         repo = KnowledgeRepository()
-        ingest_explicit(repo, PID, 1, "battery swells", 40)
-        ingest_explicit(repo, PID, 1, "battery weak", 41)
+        add_explicit(repo, "battery swells", 40)
+        add_explicit(repo, "battery weak", 41)
         insight = aggregate(repo, FAMILY, 1)
         path = tmp_path / "insight.json"
         save_insight(insight, path)

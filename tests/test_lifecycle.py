@@ -54,10 +54,6 @@ class TestPhaseMachine:
         assert advance(initial_state(), LifecycleEvent.DESIGN_COMPLETE) \
             is LifecyclePhase.BOL_MANUFACTURE
 
-    def test_shipped_is_illegal_from_initial_state(self):
-        with pytest.raises(IllegalTransition):
-            advance(initial_state(), LifecycleEvent.SHIPPED)
-
     def test_delivery_enters_extended_eol(self):
         assert advance(LifecyclePhase.MOL_DISTRIBUTION, LifecycleEvent.DELIVERED) \
             is LifecyclePhase.EOL_USE

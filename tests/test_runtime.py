@@ -29,7 +29,6 @@ from ploop.runtime import (
     UnknownNode,
     World,
     migrate,
-    register_node,
     route,
     tick,
 )
@@ -70,25 +69,25 @@ class TestRegisterNode:
     def test_one_of_each_kind(self):
         world = World()
         for kind in NodeKind:
-            register_node(world, kind)
+            world.register_node(kind)
         assert len(world.nodes) == 5
 
     def test_same_kind_twice_gives_distinct_ids(self):
         world = World()
-        a = register_node(world, NodeKind.MANUFACTURER)
-        b = register_node(world, NodeKind.MANUFACTURER)
+        a = world.register_node(NodeKind.MANUFACTURER)
+        b = world.register_node(NodeKind.MANUFACTURER)
         assert a != b
 
     def test_thousand_registrations_all_distinct(self):
         world = World()
-        ids = [register_node(world, NodeKind.CUSTOMER_SITE) for _ in range(1000)]
+        ids = [world.register_node(NodeKind.CUSTOMER_SITE) for _ in range(1000)]
         assert len(set(ids)) == 1000
 
     def test_explicit_duplicate_id_rejected(self):
         world = World()
-        register_node(world, NodeKind.MANUFACTURER, "hub")
+        world.register_node(NodeKind.MANUFACTURER, "hub")
         with pytest.raises(SimulationError):
-            register_node(world, NodeKind.MANUFACTURER, "hub")
+            world.register_node(NodeKind.MANUFACTURER, "hub")
 
 
 class TestRoutingTable:
@@ -164,8 +163,8 @@ class TestRoutingTable:
 class TestMigration:
     def build(self, latency=2):
         world = World(latency=LatencyMap(default=latency))
-        register_node(world, NodeKind.MANUFACTURER, "n1")
-        register_node(world, NodeKind.REPAIR_GARAGE, "n2")
+        world.register_node(NodeKind.MANUFACTURER, "n1")
+        world.register_node(NodeKind.REPAIR_GARAGE, "n2")
         world.spawn_agent(AgentRole.SERVICE, "n1", agent_id="a-01")
         return world
 
@@ -186,8 +185,8 @@ class TestMigration:
             latency=LatencyMap(default=1),
             partitions=(PartitionWindow("n1", "n2", 0, 10),),
         )
-        register_node(world, NodeKind.MANUFACTURER, "n1")
-        register_node(world, NodeKind.REPAIR_GARAGE, "n2")
+        world.register_node(NodeKind.MANUFACTURER, "n1")
+        world.register_node(NodeKind.REPAIR_GARAGE, "n2")
         world.spawn_agent(AgentRole.SERVICE, "n1", agent_id="a-01")
         with pytest.raises(Partitioned):
             migrate(world, "a-01", "n2")
@@ -210,7 +209,7 @@ class TestMigration:
     def test_census_conservation_under_random_operations(self):
         rng = random.Random(9090)
         world = World(latency=LatencyMap(default=2))
-        nodes = [register_node(world, NodeKind.CUSTOMER_SITE) for _ in range(6)]
+        nodes = [world.register_node(NodeKind.CUSTOMER_SITE) for _ in range(6)]
         spawned = 0
         for _ in range(10):
             world.spawn_agent(AgentRole.SERVICE, rng.choice(nodes))
@@ -253,7 +252,7 @@ class TestTick:
             RoutingRule("feedback.customer", ("AgentCustomer",)),
             RoutingRule("*", ()),
         )))
-        register_node(world, NodeKind.CUSTOMER_SITE, "n1")
+        world.register_node(NodeKind.CUSTOMER_SITE, "n1")
         world.spawn_agent(AgentRole.CUSTOMER, "n1", agent_id="ac-01")
         payload = CustomerFeedback(PID, 1, "x")
         sent = [
@@ -271,7 +270,7 @@ class TestTick:
             RoutingRule("feedback.customer", ("AgentCustomer",)),
             RoutingRule("*", ()),
         )))
-        register_node(world, NodeKind.CUSTOMER_SITE, "n1")
+        world.register_node(NodeKind.CUSTOMER_SITE, "n1")
         world.spawn_agent(AgentRole.CUSTOMER, "n1", agent_id="ac-01")
         payload = CustomerFeedback(PID, 1, "x")
         order = {}
@@ -282,10 +281,13 @@ class TestTick:
             order.setdefault(sender, []).append(message.msg_id)
         for _ in range(4):
             tick(world)
-        inbox = world.nodes["n1"].inbox
+        # Per-sender order as the log shows it: message_sent names the
+        # sender, message_delivered the order of arrival.
+        sender_of = {e.msg_id: e.agent for e in world.events if e.event_kind == "message_sent"}
+        delivered = [e.msg_id for e in world.events if e.event_kind == EVT_MESSAGE_DELIVERED]
+        assert len(delivered) == 6
         for sender, ids in order.items():
-            seen = [m for m in inbox if m in ids]
-            assert seen == ids
+            assert [m for m in delivered if sender_of[m] == sender] == ids
 
     def test_causality_validated_at_construction(self):
         with pytest.raises(ValueError):
@@ -299,8 +301,8 @@ class TestTick:
             )),
             partitions=(PartitionWindow("n1", "n2", 0, 10),),
         )
-        register_node(world, NodeKind.CUSTOMER_SITE, "n1")
-        register_node(world, NodeKind.MANUFACTURER, "n2")
+        world.register_node(NodeKind.CUSTOMER_SITE, "n1")
+        world.register_node(NodeKind.MANUFACTURER, "n2")
         world.spawn_agent(AgentRole.CUSTOMER, "n2", agent_id="ac-01")
         world.send("feedback.customer", CustomerFeedback(PID, 1, "x"), "n1", "n1",
                    deliver_at=1)
@@ -314,8 +316,8 @@ class TestTick:
             latency=LatencyMap(default=2),
             partitions=(PartitionWindow("n1", "n2", 2, 4),),
         )
-        register_node(world, NodeKind.MANUFACTURER, "n1")
-        register_node(world, NodeKind.REPAIR_GARAGE, "n2")
+        world.register_node(NodeKind.MANUFACTURER, "n1")
+        world.register_node(NodeKind.REPAIR_GARAGE, "n2")
         world.spawn_agent(AgentRole.SERVICE, "n1", agent_id="a-01")
         migrate(world, "a-01", "n2")   # arrive_at 2, inside the window
         arrival_ticks = []
@@ -328,8 +330,8 @@ class TestTick:
 
     def test_itinerary_refusal_is_logged_and_retried(self):
         world = World(partitions=(PartitionWindow("n1", "n2", 1, 2),))
-        register_node(world, NodeKind.MANUFACTURER, "n1")
-        register_node(world, NodeKind.REPAIR_GARAGE, "n2")
+        world.register_node(NodeKind.MANUFACTURER, "n1")
+        world.register_node(NodeKind.REPAIR_GARAGE, "n2")
         world.spawn_agent(AgentRole.SERVICE, "n1", agent_id="a-01",
                           itinerary=("n2",))
         refused = completed = 0
@@ -346,7 +348,7 @@ class TestTick:
 class TestWorldRules:
     def test_design_trigger_starts_next_generation(self):
         world = World()
-        register_node(world, NodeKind.MANUFACTURER, "mfg")
+        world.register_node(NodeKind.MANUFACTURER, "mfg")
         world.register_product(PID, 1, LifecyclePhase.EOL_USE, node="mfg")
         trigger = DesignTrigger(PID.render(), 1, 2)
         world.send("design.trigger", trigger, "mfg", "mfg", deliver_at=1)
@@ -360,7 +362,7 @@ class TestWorldRules:
 
     def test_duplicate_trigger_is_idempotent(self):
         world = World()
-        register_node(world, NodeKind.MANUFACTURER, "mfg")
+        world.register_node(NodeKind.MANUFACTURER, "mfg")
         world.register_product(PID, 1, LifecyclePhase.EOL_USE, node="mfg")
         trigger = DesignTrigger(PID.render(), 1, 2)
         world.send("design.trigger", trigger, "mfg", "mfg", deliver_at=1)
@@ -372,7 +374,7 @@ class TestWorldRules:
 
     def test_event_log_line_shape(self):
         world = World()
-        register_node(world, NodeKind.MANUFACTURER, "mfg")
+        world.register_node(NodeKind.MANUFACTURER, "mfg")
         line = world.events[-1].to_json_line()
         raw = json.loads(line)
         assert list(raw) == ["tick", "event_kind", "node", "agent", "msg_id", "detail"]
