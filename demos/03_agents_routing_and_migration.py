@@ -29,7 +29,6 @@ routing = RoutingTable(rules=(
 ))
 
 world = World(
-    seed=1,
     routing=routing,
     latency=LatencyMap(default=1, pairs={("garage", "mfg"): 2}),
     partitions=(PartitionWindow("mfg", "garage", 4, 6),),

@@ -2,8 +2,9 @@
 
 Agents are deterministic rule tables: ``handle`` maps (state, message,
 tick) to a list of effects and mutates nothing itself. The runtime owns
-all side effects; an agent's knowledge emissions, sends, memory writes,
-and migrations only happen when the runtime applies the returned effects.
+all side effects; an agent's knowledge emissions, sends and memory
+writes only happen when the runtime applies the returned effects, and it
+migrates an agent along its itinerary through ``plan_migration``.
 
 Role summary:
   AgentProduct   shadows one physical product (same id); turns sensor
@@ -66,7 +67,7 @@ class AgentState:
 
     product_id is mandatory for AgentProduct (the agent and the physical
     product share an id) and optional elsewhere. The itinerary lists nodes
-    still to visit; the runtime pops entries on arrival.
+    still to visit; the runtime drops the heads an agent stands at.
     """
 
     agent_id: str
@@ -113,7 +114,7 @@ class UpdateMemory:
     value: Any
 
 
-Effect = Union[SendMessage, EmitKnowledge, RequestMigration, UpdateMemory]
+Effect = Union[SendMessage, EmitKnowledge, UpdateMemory]
 
 
 def _record_id(agent: AgentState, message: Message) -> str:
@@ -204,7 +205,8 @@ def handle(agent: AgentState, message: Message, tick: int) -> list[Effect]:
 def plan_migration(agent: AgentState, directory: Collection[str]) -> RequestMigration | None:
     """Next hop from the itinerary, or None when there is nowhere to go.
 
-    The head must be a registered node; the runtime pops it on arrival.
+    The head must be a registered node; the runtime drops it once the
+    agent stands there.
     """
     if not agent.itinerary:
         return None

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
+from typing import Iterator
 
 from .harness import (
     IncomparableRuns,
@@ -22,9 +22,12 @@ from .harness import (
     ScenarioValidationError,
     compare,
     compute_report,
+    load_json,
     load_scenario,
+    read_text,
     run,
 )
+from .runtime import LoggedEvent
 
 logger = logging.getLogger(__name__)
 
@@ -63,13 +66,23 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _log_events(path: str) -> Iterator[LoggedEvent]:
+    """Each non-blank line of a saved log, decoded once."""
+    for number, line in enumerate(read_text(path).splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            event = LoggedEvent.from_json_line(line)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScenarioParseError(f"{path}:{number}: not a log event ({exc!r})") from None
+        yield event
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    path = Path(args.log)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from None
-    report = compute_report(lines)
+        report = compute_report(_log_events(args.log))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioParseError(f"{args.log}: not a run log ({exc!r})") from None
     if args.json:
         sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
     else:
@@ -78,15 +91,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _load_report(path: str) -> RunReport:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    raw = load_json(path)
     try:
         return RunReport.from_dict(raw)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioValidationError(f"{path}: not a run report ({exc})") from None
 
 

@@ -19,7 +19,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable
 
 from .identity import (
     IntelligenceChannel,
@@ -302,13 +302,15 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                      "agent {!r} itinerary references unknown node {!r}", agent_id, stop)
         agents.append(AgentDecl(agent_id, role, home, product, itinerary))
 
-    rules = tuple(
-        RoutingRule(pattern=_field(raw, "pattern", "a string", "", "routing rule "),
-                    recipients=tuple(_field(raw, "recipients", "a list", [], "routing rule ")))
-        for raw in _entries(doc, "routing")
-    )
+    rules = []
+    for raw in _entries(doc, "routing"):
+        pattern = _field(raw, "pattern", "a string", "", "routing rule ")
+        recipients = tuple(_field(raw, "recipients", "a list", [], "routing rule "))
+        _require(all(type(r) is str for r in recipients),
+                 "routing rule recipients must be strings, got {!r}", list(recipients))
+        rules.append(RoutingRule(pattern, recipients))
     try:
-        routing = RoutingTable(rules=rules)
+        routing = RoutingTable(rules=tuple(rules))
     except InvalidRoutingTable as exc:
         raise ScenarioValidationError(f"routing: {exc}") from None
 
@@ -505,17 +507,24 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     }
 
 
-def load_scenario(path: Path | str) -> Scenario:
-    path = Path(path)
+def read_text(path: Path | str) -> str:
+    """The UTF-8 text of a file; an unreadable or non-UTF-8 file is a parse error."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"{path}: {exc}") from None
+
+
+def load_json(path: Path | str) -> Any:
+    """The JSON document in a file, with the line and column of a syntax error."""
     try:
-        doc = json.loads(text)
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return scenario_from_dict(doc)
+
+
+def load_scenario(path: Path | str) -> Scenario:
+    return scenario_from_dict(load_json(path))
 
 
 def save_scenario(scenario: Scenario, path: Path | str) -> None:
@@ -530,7 +539,6 @@ def save_scenario(scenario: Scenario, path: Path | str) -> None:
 def build_world(scenario: Scenario, seed_override: int | None = None) -> World:
     seed = scenario.seed if seed_override is None else seed_override
     world = World(
-        seed=seed,
         routing=scenario.routing,
         latency=scenario.latency,
         params=scenario.params,
@@ -694,8 +702,9 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def compute_report(log_lines: Sequence[str]) -> RunReport:
-    """Derive the run report purely from serialized event-log lines."""
+def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
+    """Derive the run report purely from the events of a run log: the
+    world's events in ``run``, a saved log's decoded lines in ``ploop report``."""
     scenario = ""
     seed = 0
     total_ticks = 0
@@ -709,10 +718,7 @@ def compute_report(log_lines: Sequence[str]) -> RunReport:
     dropped = 0
     migrations = 0
 
-    for line in log_lines:
-        if not line.strip():
-            continue
-        event = LoggedEvent.from_json_line(line)
+    for event in events:
         detail = json.loads(event.detail) if event.detail else {}
         if event.event_kind == EVT_RUN_STARTED:
             scenario = detail.get("scenario", "")
@@ -761,11 +767,15 @@ def compute_report(log_lines: Sequence[str]) -> RunReport:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A finished run: the world, its serialized log, and the report."""
+    """A finished run: the world, whose events are the log, and the report."""
 
     world: World
-    log_lines: tuple[str, ...]
     report: RunReport
+
+    @property
+    def log_lines(self) -> tuple[str, ...]:
+        """The log as written to ``<name>.events.jsonl``, one line per event."""
+        return tuple(event.to_json_line() for event in self.world.events)
 
 
 def run(
@@ -783,19 +793,14 @@ def run(
     for _ in range(scenario.horizon):
         tick(world)
     world.log(EVT_RUN_FINISHED, detail=detail_str(ticks=scenario.horizon))
-    log_lines = tuple(event.to_json_line() for event in world.events)
-    report = compute_report(log_lines)
+    report = compute_report(world.events)
     if out_dir is not None:
-        write_run_files(scenario.name, world, log_lines, report, out_dir)
-    return RunResult(world=world, log_lines=log_lines, report=report)
+        write_run_files(scenario.name, world, report, out_dir)
+    return RunResult(world=world, report=report)
 
 
 def write_run_files(
-    name: str,
-    world: World,
-    log_lines: Sequence[str],
-    report: RunReport,
-    out_dir: Path | str,
+    name: str, world: World, report: RunReport, out_dir: Path | str
 ) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -805,7 +810,9 @@ def write_run_files(
         "report_text": out / f"{name}.report.txt",
         "repository": out / f"{name}.repository.jsonl",
     }
-    paths["events"].write_text("".join(line + "\n" for line in log_lines), encoding="utf-8")
+    paths["events"].write_text(
+        "".join(event.to_json_line() + "\n" for event in world.events), encoding="utf-8"
+    )
     paths["report_json"].write_text(
         json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
     )

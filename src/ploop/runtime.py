@@ -39,7 +39,6 @@ from .agents import (
     AgentState,
     Effect,
     EmitKnowledge,
-    RequestMigration,
     SendMessage,
     UnhandledMessage,
     UnknownNode,
@@ -337,13 +336,11 @@ class World:
 
     def __init__(
         self,
-        seed: int = 0,
         routing: RoutingTable = CATCH_ALL_TABLE,
         latency: LatencyMap = LatencyMap(),
         params: SimParams = SimParams(),
         partitions: tuple[PartitionWindow, ...] = (),
     ) -> None:
-        self.seed = seed
         self.clock = 0
         self.routing = routing
         self.latency = latency
@@ -601,12 +598,7 @@ def _complete_due_migrations(world: World) -> None:
         if world.severed(transfer.source, transfer.target):
             continue
         agent = world.agents[transfer.agent_id]
-        itinerary = agent.itinerary
-        if itinerary and itinerary[0] == transfer.target:
-            itinerary = itinerary[1:]
-        world.agents[transfer.agent_id] = replace(
-            agent, location=transfer.target, itinerary=itinerary
-        )
+        world.agents[transfer.agent_id] = replace(agent, location=transfer.target)
         world.nodes[transfer.target].resident_agents.add(transfer.agent_id)
         del world.in_flight[transfer.agent_id]
         world.log(
@@ -844,16 +836,6 @@ def _apply_effect(world: World, agent_id: str, effect: Effect) -> None:
                 KEY_KNOWLEDGE_RECORD, effect.record, sender=agent_id,
                 origin_node=agent.location,
             )
-    elif isinstance(effect, RequestMigration):
-        try:
-            migrate(world, agent_id, effect.target)
-        except Partitioned:
-            world.log(
-                EVT_MIGRATION_REFUSED,
-                node=agent.location,
-                agent=agent_id,
-                detail=detail_str(target=effect.target, reason="partitioned"),
-            )
     elif isinstance(effect, UpdateMemory):
         world.agents[agent_id] = apply_memory(agent, effect.key, effect.value)
     else:
@@ -899,7 +881,7 @@ def _plan_itineraries(world: World) -> None:
             agent = replace(agent, itinerary=itinerary)
             world.agents[agent_id] = agent
         effect = plan_migration(agent, world.nodes.keys())
-        if isinstance(effect, RequestMigration):
+        if effect is not None:
             try:
                 migrate(world, agent_id, effect.target)
             except Partitioned:

@@ -141,6 +141,10 @@ MISTYPED_FIELDS = {
     "trigger rule flag is a string": (_set("params", "trigger_rule_enabled", "no"),
                                       "trigger_rule_enabled must be"),
     "itinerary is a string": (_set("agents", 0, "itinerary", "mfg"), "itinerary must be"),
+    "routing recipient is a list": (_set("routing", 0, "recipients", 0, []),
+                                    "recipients must be strings"),
+    "routing recipient is a number": (_set("routing", 0, "recipients", 0, 7),
+                                      "recipients must be strings"),
 }
 
 
@@ -155,3 +159,70 @@ def test_mistyped_field_exits_1_naming_it(case, fixtures_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith("error:") and message in err
+
+
+# Each scalar of closed_loop.scn is replaced by each of these in turn.
+MUTANTS = (None, True, 2.5, "zz", [], {}, -1)
+
+
+def _leaf_paths(node, path=()):
+    """The key path of every scalar in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+def test_no_single_leaf_mutation_exits_2(fixtures_dir, tmp_path, capsys):
+    text = (fixtures_dir / "closed_loop.scn").read_text()
+    leaves = list(_leaf_paths(json.loads(text)))
+    assert len(leaves) == 138
+    path = tmp_path / "mutant.scn"
+    internal = []
+    for leaf in leaves:
+        for value in MUTANTS:
+            doc = json.loads(text)
+            _set(*leaf, value)(doc)
+            path.write_text(json.dumps(doc))
+            code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if code not in (0, 1):
+                internal.append((leaf, value, err))
+    assert internal == []
+
+
+EVENT = ('{{"tick":{},"event_kind":"{}","node":"","agent":"","msg_id":"",'
+         '"detail":{}}}\n')
+STARTED = EVENT.format(0, "run_started", '"{}"')
+
+# Each case: the command, the file it reads, and the part of the error
+# message that says what is wrong with it.
+BAD_INPUTS = {
+    "report: a line is not JSON": ("report", STARTED + "{not json\n", ":2: not a log event"),
+    "report: a line has no event_kind": ("report", '{"tick":0}\n', ":1: not a log event"),
+    "report: a record detail lacks mode": (
+        "report", STARTED + EVENT.format(3, "knowledge_inserted", '"{}"'), "not a run log"),
+    "report: not UTF-8": ("report", b"\xff\xfe", "can't decode"),
+    "validate: not UTF-8": ("validate", b"\xff\xfe", "can't decode"),
+    "run: not UTF-8": ("run", b"\xff\xfe", "can't decode"),
+    "compare: not UTF-8": ("compare", b"\xff\xfe", "can't decode"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_file_exits_1_naming_it(case, tmp_path, capsys):
+    command, content, message = BAD_INPUTS[case]
+    path = tmp_path / "input"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    argv = {
+        "report": ["report", "--log", str(path)],
+        "validate": ["validate", "--scenario", str(path)],
+        "run": ["run", "--scenario", str(path), "--out", str(tmp_path)],
+        "compare": ["compare", "--a", str(path), "--b", str(path)],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: {path}") and message in err

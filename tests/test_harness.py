@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from ploop.cli import main
 from ploop.harness import (
     IncomparableRuns,
     LaunchTime,
@@ -16,6 +18,11 @@ from ploop.harness import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from ploop.runtime import LoggedEvent
+
+ROOT = Path(__file__).resolve().parent.parent
+# The five fixtures and the generated scenarios pinned in test_golden.py.
+SCENARIOS = sorted([*ROOT.glob("fixtures/*.scn"), *ROOT.glob("tests/golden/*.scn")])
 
 MINIMAL_DOC = {
     "format": 1,
@@ -155,13 +162,20 @@ class TestRun:
             ("DispositionExecuted", "EOL_Disposed"),
         ]
 
-    def test_report_recomputed_from_saved_log_matches(self, fixtures_dir, tmp_path):
-        scenario = load_scenario(fixtures_dir / "closed_loop.scn")
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda path: path.stem)
+    def test_report_recomputed_from_saved_log_matches(self, path, tmp_path, capsys):
+        # The report of the run, of the written log decoded, of
+        # `ploop report --json` and of report.json are one report.
+        scenario = load_scenario(path)
         result = run(scenario, out_dir=tmp_path)
-        saved = (tmp_path / "closed_loop.events.jsonl").read_text().splitlines()
-        assert compute_report(saved) == result.report
-        raw = json.loads((tmp_path / "closed_loop.report.json").read_text())
-        assert RunReport.from_dict(raw) == result.report
+        log = tmp_path / f"{scenario.name}.events.jsonl"
+        events = [LoggedEvent.from_json_line(line) for line in log.read_text().splitlines()]
+        assert compute_report(events) == result.report
+        assert main(["report", "--log", str(log), "--json"]) == 0
+        printed = capsys.readouterr().out
+        saved = (tmp_path / f"{scenario.name}.report.json").read_text()
+        assert printed == saved
+        assert RunReport.from_dict(json.loads(saved)) == result.report
 
     def test_run_writes_repository_file(self, fixtures_dir, tmp_path):
         scenario = load_scenario(fixtures_dir / "closed_loop.scn")
