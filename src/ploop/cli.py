@@ -94,7 +94,7 @@ def _load_report(path: str) -> RunReport:
     raw = load_json(path)
     try:
         return RunReport.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ScenarioValidationError as exc:
         raise ScenarioValidationError(f"{path}: not a run report ({exc})") from None
 
 

@@ -181,6 +181,7 @@ _KINDS = {
     "a number": (int, float),
     "a boolean": (bool,),
     "a string": (str,),
+    "an integer or null": (int, type(None)),
 }
 
 
@@ -200,6 +201,15 @@ def _entries(raw: dict[str, Any], key: str, what: str = "") -> list[dict[str, An
         if type(entry) is not dict:
             raise ScenarioValidationError(f"{what}{key}[{i}] must be an object")
     return entries
+
+
+def _counts(raw: dict[str, Any], key: str) -> dict[str, int]:
+    """The name -> count object under raw[key]."""
+    counts = _field(raw, key, "an object")
+    for name, value in counts.items():
+        _require(type(value) is int, "{}.{} must be an integer, got {}",
+                 key, name, type(value).__name__)
+    return dict(counts)
 
 
 def _known(ref: Any, ids: set[str]) -> bool:
@@ -652,22 +662,30 @@ class RunReport:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "RunReport":
+    def from_dict(cls, raw: Any) -> "RunReport":
+        """A report read back from JSON; each field must have its JSON type."""
+        _require(type(raw) is dict, "a report must be an object")
+        launch_times = []
+        for i, lt in enumerate(_field(raw, "launch_times", "a list")):
+            what = f"launch_times[{i}]."
+            _require(type(lt) is dict, "launch_times[{}] must be an object", i)
+            launch_times.append(LaunchTime(
+                _field(lt, "family", "a string", what=what),
+                _field(lt, "generation", "an integer", what=what),
+                _field(lt, "tick", "an integer", what=what),
+            ))
         return cls(
-            scenario=raw["scenario"],
-            seed=raw["seed"],
-            total_ticks=raw["total_ticks"],
-            launch_times=tuple(
-                LaunchTime(lt["family"], lt["generation"], lt["tick"])
-                for lt in raw["launch_times"]
-            ),
-            loop_closure_latency=raw["loop_closure_latency"],
-            knowledge_by_mode=dict(raw["knowledge_by_mode"]),
-            knowledge_by_source=dict(raw["knowledge_by_source"]),
-            knowledge_by_activity=dict(raw["knowledge_by_activity"]),
-            eol_decisions=dict(raw["eol_decisions"]),
-            dropped_messages=raw["dropped_messages"],
-            migrations=raw["migrations"],
+            scenario=_field(raw, "scenario", "a string"),
+            seed=_field(raw, "seed", "an integer"),
+            total_ticks=_field(raw, "total_ticks", "an integer"),
+            launch_times=tuple(launch_times),
+            loop_closure_latency=_field(raw, "loop_closure_latency", "an integer or null"),
+            knowledge_by_mode=_counts(raw, "knowledge_by_mode"),
+            knowledge_by_source=_counts(raw, "knowledge_by_source"),
+            knowledge_by_activity=_counts(raw, "knowledge_by_activity"),
+            eol_decisions=_counts(raw, "eol_decisions"),
+            dropped_messages=_field(raw, "dropped_messages", "an integer"),
+            migrations=_field(raw, "migrations", "an integer"),
         )
 
     def to_text(self) -> str:

@@ -9,7 +9,7 @@ else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
 from urllib.parse import urlparse
@@ -179,14 +179,18 @@ def record_event(peid: PEID, event: SensorEvent) -> PEID:
     """Append one sensor event, copy-on-update.
 
     The event's sim_time must not precede the log tail; prior entries are
-    never rewritten.
+    never rewritten. Every PEID's log is ordered once built, so the tail
+    check is the whole check: the copy skips ``__post_init__`` and its
+    rescan of the log.
     """
     if peid.event_log and event.sim_time < peid.event_log[-1].sim_time:
         raise NonMonotonicTime(
             f"event at t={event.sim_time} precedes log tail "
             f"t={peid.event_log[-1].sim_time}"
         )
-    return replace(peid, event_log=peid.event_log + (event,))
+    appended = object.__new__(type(peid))
+    vars(appended).update(vars(peid), event_log=peid.event_log + (event,))
+    return appended
 
 
 def classify_intelligence(capabilities: frozenset[PEIDCapability]) -> IntelligenceLevel:

@@ -20,6 +20,15 @@ pairs replay byte-identical logs:
 The engine draws no random numbers: every order above is fixed by ticks
 and ids, so the seed only labels the run in its log.
 
+Per-tick cost follows activity, not agent count. The World keeps three
+indexes up to date instead of rescanning: the resident directory (agent
+to role for every agent not in flight) that routing reads, the set of
+residents with a pending itinerary that step 5 walks, and the partition
+windows by node pair that ``severed`` reads. Spawn, migration start and
+arrival maintain the first two; the third is fixed at construction.
+A parked agent without an itinerary costs a tick nothing; a delivery
+whose rule names a role still scans the resident directory for it.
+
 Fail-closed faults: partitioned migrations are refused at send time and
 logged; partitioned deliveries are dropped and logged; no message or agent
 ever crosses a severed pair.
@@ -240,6 +249,11 @@ def route(
     return sorted(out)
 
 
+def _pair(a: str, b: str) -> tuple[str, str]:
+    """The unordered node pair as a sorted key."""
+    return (a, b) if a <= b else (b, a)
+
+
 @dataclass(frozen=True)
 class LatencyMap:
     """Symmetric per-node-pair migration latency in ticks."""
@@ -248,8 +262,7 @@ class LatencyMap:
     pairs: Mapping[tuple[str, str], int] = field(default_factory=dict)
 
     def get(self, a: str, b: str) -> int:
-        key = (a, b) if a <= b else (b, a)
-        return self.pairs.get(key, self.default)
+        return self.pairs.get(_pair(a, b), self.default)
 
 
 @dataclass(frozen=True)
@@ -346,6 +359,10 @@ class World:
         self.latency = latency
         self.params = params
         self.partitions = partitions
+        # Windows by sorted node pair, so severed() reads only that pair's.
+        self._windows: dict[tuple[str, str], list[PartitionWindow]] = {}
+        for window in partitions:
+            self._windows.setdefault(_pair(window.a, window.b), []).append(window)
         self.nodes: dict[str, Node] = {}
         self.agents: dict[str, AgentState] = {}
         self.in_flight: dict[str, Transfer] = {}
@@ -354,6 +371,10 @@ class World:
         # The one knowledge repository; only the keeper (AgentKnowledge) inserts.
         self.repository = KnowledgeRepository()
         self.started_generations: set[tuple[str, int]] = set()
+        # Kept by _settle and _depart: every agent not in flight with its
+        # role, and those of them whose itinerary is not empty.
+        self._residents: dict[str, AgentRole] = {}
+        self._travellers: set[str] = set()
         self._pending: list[tuple[int, int, Message]] = []
         self._actions: list[tuple[int, int, Action]] = []
         self._msg_seq = 0
@@ -456,7 +477,7 @@ class World:
             itinerary=itinerary,
         )
         self.agents[agent_id] = state
-        self.nodes[home].resident_agents.add(agent_id)
+        self._settle(state)
         self.log(
             EVT_AGENT_SPAWNED,
             node=home,
@@ -513,7 +534,24 @@ class World:
     # -- partitions -------------------------------------------------------
 
     def severed(self, a: str, b: str) -> bool:
-        return any(w.covers(a, b, self.clock) for w in self.partitions)
+        clock = self.clock
+        return any(w.from_tick <= clock <= w.to_tick
+                   for w in self._windows.get(_pair(a, b), ()))
+
+    # -- resident indexes ---------------------------------------------------
+
+    def _settle(self, agent: AgentState) -> None:
+        """Index an agent that now stands at its location."""
+        self.nodes[agent.location].resident_agents.add(agent.agent_id)
+        self._residents[agent.agent_id] = agent.role
+        if agent.itinerary:
+            self._travellers.add(agent.agent_id)
+
+    def _depart(self, agent: AgentState) -> None:
+        """Unindex an agent leaving its location."""
+        self.nodes[agent.location].resident_agents.discard(agent.agent_id)
+        del self._residents[agent.agent_id]
+        self._travellers.discard(agent.agent_id)
 
     # -- invariant helpers --------------------------------------------------
 
@@ -532,11 +570,8 @@ class World:
         return placement
 
     def resident_directory(self) -> dict[str, AgentRole]:
-        return {
-            aid: state.role
-            for aid, state in self.agents.items()
-            if aid not in self.in_flight
-        }
+        """Every agent not in flight, with its role (a copy)."""
+        return dict(self._residents)
 
 
 # -- module operation surface ------------------------------------------------
@@ -559,7 +594,7 @@ def migrate(world: World, agent_id: str, target: str) -> World:
     source = agent.location
     if world.severed(source, target):
         raise Partitioned(f"({source}, {target}) is severed")
-    world.nodes[source].resident_agents.discard(agent_id)
+    world._depart(agent)
     arrive_at = world.clock + world.latency.get(source, target)
     world.in_flight[agent_id] = Transfer(agent_id, source, target, arrive_at)
     world.log(
@@ -597,9 +632,9 @@ def _complete_due_migrations(world: World) -> None:
         # Held in flight while the pair is severed; lands once it heals.
         if world.severed(transfer.source, transfer.target):
             continue
-        agent = world.agents[transfer.agent_id]
-        world.agents[transfer.agent_id] = replace(agent, location=transfer.target)
-        world.nodes[transfer.target].resident_agents.add(transfer.agent_id)
+        agent = replace(world.agents[transfer.agent_id], location=transfer.target)
+        world.agents[transfer.agent_id] = agent
+        world._settle(agent)
         del world.in_flight[transfer.agent_id]
         world.log(
             EVT_MIGRATION_COMPLETED,
@@ -777,7 +812,7 @@ def _world_rules(world: World, message: Message) -> None:
 
 def _process_delivery(world: World, message: Message) -> None:
     _world_rules(world, message)
-    recipients = route(message, world.routing, world.resident_directory())
+    recipients = route(message, world.routing, world._residents)
     if not recipients:
         world.log(
             EVT_MESSAGE_DROPPED,
@@ -872,7 +907,7 @@ def _insert_record(world: World, agent: AgentState, record: KnowledgeRecord) -> 
 
 
 def _plan_itineraries(world: World) -> None:
-    for agent_id in sorted(world.resident_directory()):
+    for agent_id in sorted(world._travellers):
         agent = world.agents[agent_id]
         itinerary = agent.itinerary
         while itinerary and itinerary[0] == agent.location:
@@ -880,6 +915,9 @@ def _plan_itineraries(world: World) -> None:
         if itinerary != agent.itinerary:
             agent = replace(agent, itinerary=itinerary)
             world.agents[agent_id] = agent
+        if not itinerary:
+            world._travellers.discard(agent_id)
+            continue
         effect = plan_migration(agent, world.nodes.keys())
         if effect is not None:
             try:

@@ -226,3 +226,64 @@ def test_bad_input_file_exits_1_naming_it(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith(f"error: {path}") and message in err
+
+
+def _drop(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+# Each case: the mutation of closed_loop's report.json (one that returns a
+# document replaces it) and the part of the error message that names the field.
+MISTYPED_REPORT_FIELDS = {
+    "report is a list": (lambda doc: [doc], "a report must be an object"),
+    "scenario is a number": (_set("scenario", 7), "scenario must be a string"),
+    "seed is a bool": (_set("seed", True), "seed must be an integer"),
+    "seed is missing": (_drop("seed"), "seed must be an integer"),
+    "total_ticks is a float": (_set("total_ticks", 60.0), "total_ticks must be an integer"),
+    "launch_times is an object": (_set("launch_times", {}), "launch_times must be a list"),
+    "launch entry is a list": (_set("launch_times", 0, []),
+                               "launch_times[0] must be an object"),
+    "launch family is a number": (_set("launch_times", 0, "family", 1),
+                                  "launch_times[0].family must be a string"),
+    "launch generation is a bool": (_set("launch_times", 0, "generation", True),
+                                    "launch_times[0].generation must be an integer"),
+    "launch tick is a string": (_set("launch_times", 0, "tick", "19"),
+                                "launch_times[0].tick must be an integer"),
+    "closure latency is a string": (_set("loop_closure_latency", "8"),
+                                    "loop_closure_latency must be an integer or null"),
+    "closure latency is a bool": (_set("loop_closure_latency", False),
+                                  "loop_closure_latency must be an integer or null"),
+    "knowledge_by_mode is a list": (_set("knowledge_by_mode", []),
+                                    "knowledge_by_mode must be an object"),
+    "knowledge_by_mode count is a string": (_set("knowledge_by_mode", "Tacit", "4"),
+                                            "knowledge_by_mode.Tacit must be an integer"),
+    "knowledge_by_source count is a float": (_set("knowledge_by_source", "Collective", 5.0),
+                                             "knowledge_by_source.Collective must be"),
+    "knowledge_by_activity count is null": (
+        _set("knowledge_by_activity", "Customer", None),
+        "knowledge_by_activity.Customer must be an integer"),
+    "eol_decisions count is a bool": (_set("eol_decisions", "ReclaimNoDisassembly", True),
+                                      "eol_decisions.ReclaimNoDisassembly must be"),
+    "dropped_messages is a string": (_set("dropped_messages", "1"),
+                                     "dropped_messages must be an integer"),
+    "migrations is null": (_set("migrations", None), "migrations must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_REPORT_FIELDS))
+def test_compare_mistyped_report_exits_1_naming_it(case, fixtures_dir, tmp_path, capsys):
+    mutate, message = MISTYPED_REPORT_FIELDS[case]
+    assert main(["run", "--scenario", str(fixtures_dir / "closed_loop.scn"),
+                 "--out", str(tmp_path)]) == 0
+    report = tmp_path / "closed_loop.report.json"
+    doc = json.loads(report.read_text())
+    replaced = mutate(doc)
+    path = tmp_path / "bad.report.json"
+    path.write_text(json.dumps(doc if replaced is None else replaced))
+    capsys.readouterr()
+    code = main(["compare", "--a", str(path), "--b", str(report)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: {path}: not a run report") and message in err

@@ -107,6 +107,19 @@ class TestPEIDLog:
         record_event(base, SensorEvent("temp", 21.0, "C", 1))
         assert base.event_log == ()
 
+    def test_unordered_log_rejected_at_construction(self):
+        log = (SensorEvent("temp", 21.0, "C", 5), SensorEvent("temp", 22.0, "C", 3))
+        with pytest.raises(NonMonotonicTime):
+            PEID(product_id=mint_product_id("p1", "urn:x"), event_log=log)
+
+    def test_append_equals_direct_construction(self):
+        base = PEID(product_id=mint_product_id("p1", "urn:x"),
+                    capabilities=LEVEL1_CAPABILITIES, memory={"k": 1})
+        first, second = SensorEvent("temp", 21.0, "C", 2), SensorEvent("rpm", 9.0, "Hz", 2)
+        peid = record_event(record_event(base, first), second)
+        assert peid == PEID(product_id=base.product_id, capabilities=LEVEL1_CAPABILITIES,
+                            memory={"k": 1}, event_log=(first, second))
+
     def test_negative_sim_time_rejected(self):
         with pytest.raises(ValueError):
             SensorEvent("temp", 21.0, "C", -1)

@@ -4,17 +4,19 @@ import string
 
 import pytest
 
+from ploop import runtime
 from ploop.agents import AgentRole
-from ploop.identity import mint_product_id
+from ploop.identity import SensorEvent, mint_product_id
 from ploop.knowledge import DesignTrigger
 from ploop.lifecycle import LifecyclePhase
-from ploop.messages import CustomerFeedback
+from ploop.messages import CustomerFeedback, SensorBatch
 from ploop.runtime import (
     CATCH_ALL_TABLE,
     EVT_MESSAGE_BLOCKED,
     EVT_MESSAGE_DELIVERED,
     EVT_MIGRATION_COMPLETED,
     EVT_MIGRATION_REFUSED,
+    EVT_PEID_REFUSED,
     AgentInFlight,
     InvalidRoutingTable,
     LatencyMap,
@@ -231,6 +233,93 @@ class TestMigration:
             assert len(placement) == spawned
             assert set(placement) == set(world.agents)
 
+    def test_indexes_match_recomputation_under_random_operations(self):
+        rng = random.Random(4711)
+        names = [f"n{i}" for i in range(5)]
+        windows = tuple(
+            PartitionWindow(rng.choice(names), rng.choice(names), start,
+                            start + rng.randint(0, 8))
+            for start in (rng.randint(0, 150) for _ in range(40))
+        )
+        pairs = {(a, b): rng.randint(1, 4) for a in names for b in names if a < b}
+        world = World(latency=LatencyMap(default=2, pairs=pairs), partitions=windows)
+        for name in names:
+            world.register_node(NodeKind.CUSTOMER_SITE, name)
+        roles = list(AgentRole)
+
+        def spawn():
+            itinerary = tuple(rng.choice(names) for _ in range(rng.randint(0, 5)))
+            world.spawn_agent(rng.choice(roles), rng.choice(names), product_id=PID,
+                              itinerary=itinerary)
+
+        def check():
+            residents = {aid: agent.role for aid, agent in world.agents.items()
+                         if aid not in world.in_flight}
+            assert world.resident_directory() == residents
+            assert world._travellers == {aid for aid in residents
+                                         if world.agents[aid].itinerary}
+            for a in names:
+                for b in names:
+                    assert world.severed(a, b) == any(
+                        w.covers(a, b, world.clock) for w in windows)
+
+        for _ in range(8):
+            spawn()
+        for _ in range(1500):
+            op = rng.random()
+            if op < 0.1 and len(world.agents) < 50:
+                spawn()
+            elif op < 0.5:
+                try:
+                    migrate(world, rng.choice(sorted(world.agents)), rng.choice(names))
+                except (AgentInFlight, Partitioned):
+                    pass
+            else:
+                tick(world)
+            check()
+        assert world.clock > 150
+
+    def test_resident_directory_is_a_copy(self):
+        world = World()
+        world.register_node(NodeKind.CUSTOMER_SITE, "n1")
+        world.spawn_agent(AgentRole.SERVICE, "n1", agent_id="a-01")
+        world.resident_directory().clear()
+        assert world.resident_directory() == {"a-01": AgentRole.SERVICE}
+
+
+def _plan_migration_calls(monkeypatch, parked):
+    """plan_migration calls over 200 ticks with `parked` agents that have no
+    itinerary beside one agent roaming four nodes."""
+    calls = 0
+    plan = runtime.plan_migration
+
+    def counted(agent, directory):
+        nonlocal calls
+        calls += 1
+        return plan(agent, directory)
+
+    def unexpected(self):
+        raise AssertionError("tick() rebuilt the resident directory")
+
+    monkeypatch.setattr(runtime, "plan_migration", counted)
+    monkeypatch.setattr(World, "resident_directory", unexpected)
+    world = World()
+    nodes = [world.register_node(NodeKind.CUSTOMER_SITE, f"n{i}") for i in range(4)]
+    for i in range(parked):
+        world.spawn_agent(AgentRole.IMPACT, nodes[i % 4])
+    world.spawn_agent(AgentRole.IMPACT, "n0", agent_id="roamer",
+                      itinerary=tuple(nodes[i % 4] for i in range(1, 150)))
+    for _ in range(200):
+        tick(world)
+    assert world.agents["roamer"].itinerary == ()
+    return calls
+
+
+def test_idle_agents_cost_no_planning(monkeypatch):
+    few = _plan_migration_calls(monkeypatch, 10)
+    many = _plan_migration_calls(monkeypatch, 1000)
+    assert few == many == 149
+
 
 class TestTick:
     def test_empty_world_advances_clock_without_events(self):
@@ -371,6 +460,22 @@ class TestWorldRules:
             tick(world)
         started = [e for e in world.events if e.event_kind == "generation_started"]
         assert len(started) == 1
+
+    def test_backwards_batch_is_refused_whole(self):
+        world = World()
+        world.register_node(NodeKind.CUSTOMER_SITE, "site")
+        product = world.register_product(PID, 1, LifecyclePhase.EOL_USE, node="site")
+        ordered = (SensorEvent("temp", 20.0, "C", 5), SensorEvent("temp", 21.0, "C", 6))
+        backwards = (SensorEvent("temp", 22.0, "C", 7), SensorEvent("temp", 23.0, "C", 3))
+        world.send("sensor.use", SensorBatch(PID, 1, "use", ordered), "site", "site",
+                   deliver_at=1)
+        world.send("sensor.use", SensorBatch(PID, 1, "use", backwards), "site", "site",
+                   deliver_at=2)
+        tick(world)
+        assert product.peid.event_log == ordered
+        refused = [e for e in tick(world) if e.event_kind == EVT_PEID_REFUSED]
+        assert [e.msg_id for e in refused] == ["m000002"]
+        assert product.peid.event_log == ordered
 
     def test_event_log_line_shape(self):
         world = World()
