@@ -292,6 +292,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
     agents: list[AgentDecl] = []
     agent_ids: set[str] = set()
+    bound: dict[str, str] = {}   # product -> the AgentProduct that speaks for it
     for raw in _entries(doc, "agents"):
         agent_id = raw.get("id")
         _require(isinstance(agent_id, str) and bool(agent_id), "agent id must be a non-empty string")
@@ -306,6 +307,10 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                      "agent {!r} references unknown product {!r}", agent_id, product)
         _require(role is not AgentRole.PRODUCT or product is not None,
                  "agent {!r}: AgentProduct requires a product binding", agent_id)
+        if role is AgentRole.PRODUCT:
+            _require(product not in bound, "agent {!r}: product {!r} is already bound to "
+                     "AgentProduct {!r}", agent_id, product, bound.get(product))
+            bound[product] = agent_id
         itinerary = tuple(_field(raw, "itinerary", "a list", [], f"agent {agent_id!r}: "))
         for stop in itinerary:
             _require(_known(stop, node_ids),

@@ -20,14 +20,22 @@ pairs replay byte-identical logs:
 The engine draws no random numbers: every order above is fixed by ticks
 and ids, so the seed only labels the run in its log.
 
-Per-tick cost follows activity, not agent count. The World keeps three
+Each product speaks through its own agent: a payload about one product
+(a sensor batch, service order, customer feedback or fault report) that
+a rule sends to the AgentProduct role reaches only the AgentProduct bound
+to that product, and a world holds at most one such agent per product.
+Other roles, and payloads about no one product, reach every resident
+agent of the role.
+
+Per-tick cost follows activity, not agent count. The World keeps its
 indexes up to date instead of rescanning: the resident directory (agent
-to role for every agent not in flight) that routing reads, the set of
-residents with a pending itinerary that step 5 walks, and the partition
-windows by node pair that ``severed`` reads. Spawn, migration start and
-arrival maintain the first two; the third is fixed at construction.
-A parked agent without an itinerary costs a tick nothing; a delivery
-whose rule names a role still scans the resident directory for it.
+to role for every agent not in flight), resident agent ids by role and
+the resident AgentProduct by product, which routing reads; the residents
+with a pending itinerary, which step 5 walks; and the partition windows
+by node pair, which ``severed`` reads. Spawn, migration start and
+arrival maintain all but the windows, which are fixed at construction.
+A parked agent without an itinerary costs a tick nothing, and a delivery
+costs only the recipients its rule resolves to.
 
 Fail-closed faults: partitioned migrations are refused at send time and
 logged; partitioned deliveries are dropped and logged; no message or agent
@@ -41,7 +49,7 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 from .agents import (
     AgentRole,
@@ -79,6 +87,7 @@ from .lifecycle import (
 from .messages import (
     KEY_DESIGN_TRIGGER,
     KEY_KNOWLEDGE_RECORD,
+    CustomerFeedback,
     FaultReported,
     Message,
     Payload,
@@ -226,26 +235,44 @@ class RoutingTable:
 
 CATCH_ALL_TABLE = RoutingTable(rules=(RoutingRule("*", ()),))
 
-_ROLE_NAMES = {role.value for role in AgentRole}
+_ROLES = {role.value: role for role in AgentRole}
+
+# Payloads about one product; an AgentProduct selector binds them to it.
+_PRODUCT_SCOPED = (SensorBatch, ServiceOrder, CustomerFeedback, FaultReported)
 
 
 def route(
-    message: Message, table: RoutingTable, directory: Mapping[str, AgentRole]
+    message: Message,
+    table: RoutingTable,
+    directory: Mapping[str, AgentRole],
+    roles: Mapping[AgentRole, Collection[str]],
+    products: Mapping[ProductID, str],
 ) -> list[str]:
-    """Resolve the first matching rule to concrete live agents.
+    """Resolve the first matching rule to concrete resident agents.
 
-    Role selectors expand to every live agent of that role; unknown
-    selectors resolve to nothing. The result is ascending by agent id; an
-    empty result means drop-with-log.
+    ``directory`` maps each resident agent to its role, ``roles`` each role
+    to its resident agents and ``products`` each product to its resident
+    AgentProduct. An agent-id selector names that agent; a role selector
+    names every resident agent of the role, except that the AgentProduct
+    selector binds a SensorBatch, ServiceOrder, CustomerFeedback or
+    FaultReported to the one AgentProduct of its ``product_id``. Unknown
+    selectors and agents in flight resolve to nothing. The result is
+    ascending by agent id; an empty result means drop-with-log.
     """
     rule = table.first_match(message.routing_key)
+    payload = message.payload
     out: set[str] = set()
     for selector in rule.recipients:
-        if selector in _ROLE_NAMES:
-            role = AgentRole(selector)
-            out.update(aid for aid, r in directory.items() if r is role)
-        elif selector in directory:
-            out.add(selector)
+        role = _ROLES.get(selector)
+        if role is None:
+            if selector in directory:
+                out.add(selector)
+        elif role is AgentRole.PRODUCT and isinstance(payload, _PRODUCT_SCOPED):
+            bound = products.get(payload.product_id)
+            if bound is not None:
+                out.add(bound)
+        else:
+            out.update(roles.get(role, ()))
     return sorted(out)
 
 
@@ -372,8 +399,11 @@ class World:
         self.repository = KnowledgeRepository()
         self.started_generations: set[tuple[str, int]] = set()
         # Kept by _settle and _depart: every agent not in flight with its
-        # role, and those of them whose itinerary is not empty.
+        # role, the same agents by role, the AgentProducts among them by
+        # product, and those whose itinerary is not empty.
         self._residents: dict[str, AgentRole] = {}
+        self._by_role: dict[AgentRole, set[str]] = {role: set() for role in AgentRole}
+        self._by_product: dict[ProductID, str] = {}
         self._travellers: set[str] = set()
         self._pending: list[tuple[int, int, Message]] = []
         self._actions: list[tuple[int, int, Action]] = []
@@ -476,6 +506,15 @@ class World:
             memory=dict(memory or {}),
             itinerary=itinerary,
         )
+        if role is AgentRole.PRODUCT:
+            # The product index holds residents; a bound agent may be in flight.
+            bound = self._by_product.get(product_id) or next(
+                (aid for aid in self.in_flight if self.agents[aid].role is role
+                 and self.agents[aid].product_id == product_id), None)
+            if bound is not None:
+                raise SimulationError(
+                    f"AgentProduct {agent_id!r}: product {product_id.render()!r} is "
+                    f"already bound to AgentProduct {bound!r}")
         self.agents[agent_id] = state
         self._settle(state)
         self.log(
@@ -544,6 +583,9 @@ class World:
         """Index an agent that now stands at its location."""
         self.nodes[agent.location].resident_agents.add(agent.agent_id)
         self._residents[agent.agent_id] = agent.role
+        self._by_role[agent.role].add(agent.agent_id)
+        if agent.role is AgentRole.PRODUCT:
+            self._by_product[agent.product_id] = agent.agent_id
         if agent.itinerary:
             self._travellers.add(agent.agent_id)
 
@@ -551,6 +593,9 @@ class World:
         """Unindex an agent leaving its location."""
         self.nodes[agent.location].resident_agents.discard(agent.agent_id)
         del self._residents[agent.agent_id]
+        self._by_role[agent.role].discard(agent.agent_id)
+        if agent.role is AgentRole.PRODUCT:
+            del self._by_product[agent.product_id]
         self._travellers.discard(agent.agent_id)
 
     # -- invariant helpers --------------------------------------------------
@@ -812,7 +857,8 @@ def _world_rules(world: World, message: Message) -> None:
 
 def _process_delivery(world: World, message: Message) -> None:
     _world_rules(world, message)
-    recipients = route(message, world.routing, world._residents)
+    recipients = route(message, world.routing, world._residents, world._by_role,
+                       world._by_product)
     if not recipients:
         world.log(
             EVT_MESSAGE_DROPPED,

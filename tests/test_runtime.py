@@ -6,14 +6,17 @@ import pytest
 
 from ploop import runtime
 from ploop.agents import AgentRole
+from ploop.harness import compute_report
 from ploop.identity import SensorEvent, mint_product_id
-from ploop.knowledge import DesignTrigger
+from ploop.knowledge import DesignTrigger, tacit_record
 from ploop.lifecycle import LifecyclePhase
-from ploop.messages import CustomerFeedback, SensorBatch
+from ploop.messages import CustomerFeedback, FaultReported, SensorBatch, ServiceOrder
 from ploop.runtime import (
     CATCH_ALL_TABLE,
+    EVT_KNOWLEDGE_INSERTED,
     EVT_MESSAGE_BLOCKED,
     EVT_MESSAGE_DELIVERED,
+    EVT_MESSAGE_DROPPED,
     EVT_MIGRATION_COMPLETED,
     EVT_MIGRATION_REFUSED,
     EVT_PEID_REFUSED,
@@ -36,6 +39,9 @@ from ploop.runtime import (
 )
 
 PID = mint_product_id("px-1", "urn:mfg:acme")
+PID2 = mint_product_id("px-2", "urn:mfg:acme")
+# Payload types that speak for one product.
+SCOPED = (SensorBatch, ServiceOrder, CustomerFeedback, FaultReported)
 
 
 def make_message(key, payload=None, msg_id="m000001", sent_at=0, deliver_at=1):
@@ -65,6 +71,55 @@ def oracle_route(key, rules, directory):
                     out.add(selector)
             return sorted(out)
     raise AssertionError("no catch-all")
+
+
+def oracle_bound_route(key, rules, directory, bindings, product):
+    # Naive reference with product binding: the first matching rule's role
+    # selectors, keeping only the AgentProduct bound to ``product`` (all of
+    # them when ``product`` is None).
+    for pattern, recipients in rules:
+        if pattern == "*" or (pattern.endswith("*") and key.startswith(pattern[:-1])) \
+                or key == pattern:
+            out = set()
+            for selector in recipients:
+                if selector in directory:
+                    out.add(selector)
+                for aid, role in directory.items():
+                    if role.value == selector and (
+                            role is not AgentRole.PRODUCT or product is None
+                            or bindings[aid] == product):
+                        out.add(aid)
+            return sorted(out)
+    raise AssertionError("no catch-all")
+
+
+def resolve(message, table, directory, bindings=None):
+    """route() over the role and product indexes of ``directory``, whose
+    AgentProducts are bound to products by ``bindings`` (agent -> product)."""
+    by_role = {}
+    for aid, role in directory.items():
+        by_role.setdefault(role, set()).add(aid)
+    by_product = {product: aid for aid, product in (bindings or {}).items()}
+    return route(message, table, directory, by_role, by_product)
+
+
+def random_rules(rng, selectors):
+    """A random first-match rule list ending in the catch-all."""
+    roles = [r.value for r in AgentRole]
+    rules = []
+    for _ in range(rng.randint(0, 19)):
+        stem = "".join(rng.choices(string.ascii_lowercase, k=3))
+        pattern = stem + rng.choice(["", ".x", ".*", "*"])
+        if pattern == "*" or "*" in pattern[:-1]:
+            pattern = stem
+        rules.append((pattern, tuple(rng.choice(selectors) for _ in range(rng.randint(0, 3)))))
+    rules.append(("*", tuple(rng.sample(roles, rng.randint(0, 2)))))
+    return rules
+
+
+def random_key(rng):
+    return ".".join("".join(rng.choices(string.ascii_lowercase, k=3))
+                    for _ in range(rng.randint(1, 3)))
 
 
 class TestRegisterNode:
@@ -112,16 +167,17 @@ class TestRoutingTable:
             RoutingRule("*", ()),
         ))
         directory = {"ap-01": AgentRole.PRODUCT, "ac-01": AgentRole.CUSTOMER}
-        assert route(make_message("sensor.temp"), table, directory) == ["ap-01"]
+        assert resolve(make_message("sensor.temp"), table, directory,
+                       {"ap-01": PID}) == ["ap-01"]
 
     def test_unmatched_key_hits_catch_all_and_drops(self):
         directory = {"ap-01": AgentRole.PRODUCT}
-        assert route(make_message("unknown.x"), CATCH_ALL_TABLE, directory) == []
+        assert resolve(make_message("unknown.x"), CATCH_ALL_TABLE, directory) == []
 
     def test_unknown_selector_resolves_to_empty(self):
         table = RoutingTable(rules=(RoutingRule("k", ("ghost-99",)),
                                     RoutingRule("*", ())))
-        assert route(make_message("k"), table, {"ap-01": AgentRole.PRODUCT}) == []
+        assert resolve(make_message("k"), table, {"ap-01": AgentRole.PRODUCT}) == []
 
     def test_result_is_ascending_and_deduplicated(self):
         table = RoutingTable(rules=(
@@ -129,37 +185,74 @@ class TestRoutingTable:
             RoutingRule("*", ()),
         ))
         directory = {"ap-02": AgentRole.PRODUCT, "ap-01": AgentRole.PRODUCT}
-        assert route(make_message("k"), table, directory) == ["ap-01", "ap-02"]
+        bindings = {"ap-01": PID, "ap-02": PID2}
+        assert resolve(make_message("k"), table, directory, bindings) == ["ap-01", "ap-02"]
+
+    def test_product_payload_reaches_only_its_products_agent(self):
+        table = RoutingTable(rules=(RoutingRule("k", ("AgentProduct",)),
+                                    RoutingRule("*", ())))
+        directory = {"ap-01": AgentRole.PRODUCT, "ap-02": AgentRole.PRODUCT}
+        bindings = {"ap-01": PID, "ap-02": PID2}
+        for payload in (SensorBatch(PID2, 1, "use", ()), ServiceOrder(PID2, 1, "x"),
+                        CustomerFeedback(PID2, 1, "x"), FaultReported(PID2, 1, "x")):
+            assert resolve(make_message("k", payload), table, directory, bindings) \
+                == ["ap-02"]
+        # Unbound product: nothing; a payload about no one product: every one.
+        assert resolve(make_message("k"), table, {"ap-02": AgentRole.PRODUCT},
+                       {"ap-02": PID2}) == []
+        trigger = DesignTrigger(PID.render(), 1, 2)
+        assert resolve(make_message("k", trigger), table, directory, bindings) \
+            == ["ap-01", "ap-02"]
 
     def test_randomized_tables_match_first_match_oracle(self):
+        # Payloads about no one product resolve role-wide.
         rng = random.Random(616)
         roles = [r.value for r in AgentRole]
+        trigger = DesignTrigger(PID.render(), 1, 2)
         for _ in range(200):
             directory = {
                 f"a{i:02d}": AgentRole(rng.choice(roles))
                 for i in range(rng.randint(0, 12))
             }
-            rules = []
-            for _ in range(rng.randint(0, 19)):
-                stem = "".join(rng.choices(string.ascii_lowercase, k=3))
-                pattern = stem + rng.choice(["", ".x", ".*", "*"])
-                if pattern == "*" or "*" in pattern[:-1]:
-                    pattern = stem
-                selectors = tuple(
-                    rng.choice(roles + list(directory) + ["ghost"])
-                    for _ in range(rng.randint(0, 3))
-                )
-                rules.append((pattern, selectors))
-            rules.append(("*", tuple(rng.sample(roles, rng.randint(0, 2)))))
+            rules = random_rules(rng, roles + list(directory) + ["ghost"])
             table = RoutingTable(rules=tuple(RoutingRule(p, r) for p, r in rules))
             for _ in range(50):
-                key = ".".join(
-                    "".join(rng.choices(string.ascii_lowercase, k=3))
-                    for _ in range(rng.randint(1, 3))
-                )
-                message = make_message(key)
-                assert route(message, table, directory) \
+                key = random_key(rng)
+                message = make_message(key, trigger)
+                assert resolve(message, table, directory) \
                     == oracle_route(key, rules, directory)
+
+    def test_randomized_product_bindings_match_filtering_oracle(self):
+        rng = random.Random(2011)
+        roles = [r.value for r in AgentRole]
+        products = [mint_product_id(f"px-{i}", "urn:mfg:acme") for i in range(16)]
+        scoped = 0
+        for _ in range(200):
+            directory, bindings = {}, {}
+            free = rng.sample(products, len(products))
+            for i in range(rng.randint(0, 12)):
+                aid = f"a{i:02d}"
+                directory[aid] = AgentRole(rng.choice(roles))
+                if directory[aid] is AgentRole.PRODUCT:
+                    bindings[aid] = free.pop()
+            rules = random_rules(rng, roles + list(directory) + ["ghost"])
+            table = RoutingTable(rules=tuple(RoutingRule(p, r) for p, r in rules))
+            for _ in range(50):
+                key = random_key(rng)
+                product = rng.choice(products)
+                payload = rng.choice([
+                    SensorBatch(product, 1, "use", ()),
+                    ServiceOrder(product, 1, "x"),
+                    CustomerFeedback(product, 1, "x"),
+                    FaultReported(product, 1, "x"),
+                    tacit_record("kr-1", product, 1, "use", "x", 0),
+                    DesignTrigger(product.render(), 1, 2),
+                ])
+                bound = payload.product_id if isinstance(payload, SCOPED) else None
+                scoped += bound is not None
+                assert resolve(make_message(key, payload), table, directory, bindings) \
+                    == oracle_bound_route(key, rules, directory, bindings, bound)
+        assert scoped > 5000
 
 
 class TestMigration:
@@ -246,16 +339,33 @@ class TestMigration:
         for name in names:
             world.register_node(NodeKind.CUSTOMER_SITE, name)
         roles = list(AgentRole)
+        products = [mint_product_id(f"px-{i}", "urn:mfg:acme") for i in range(30)]
+        refused = 0
 
         def spawn():
+            nonlocal refused
+            role, product = rng.choice(roles), rng.choice(products)
             itinerary = tuple(rng.choice(names) for _ in range(rng.randint(0, 5)))
-            world.spawn_agent(rng.choice(roles), rng.choice(names), product_id=PID,
-                              itinerary=itinerary)
+            taken = {a.product_id for a in world.agents.values() if a.role is AgentRole.PRODUCT}
+            if role is AgentRole.PRODUCT and product in taken:
+                # One AgentProduct per product, resident or in flight.
+                before = dict(world.agents)
+                with pytest.raises(SimulationError):
+                    world.spawn_agent(role, rng.choice(names), product_id=product)
+                assert world.agents == before
+                refused += 1
+                return
+            world.spawn_agent(role, rng.choice(names), product_id=product, itinerary=itinerary)
 
         def check():
             residents = {aid: agent.role for aid, agent in world.agents.items()
                          if aid not in world.in_flight}
             assert world.resident_directory() == residents
+            assert world._by_role == {
+                role: {aid for aid, r in residents.items() if r is role} for role in roles}
+            assert world._by_product == {
+                world.agents[aid].product_id: aid for aid, role in residents.items()
+                if role is AgentRole.PRODUCT}
             assert world._travellers == {aid for aid in residents
                                          if world.agents[aid].itinerary}
             for a in names:
@@ -278,6 +388,19 @@ class TestMigration:
                 tick(world)
             check()
         assert world.clock > 150
+        assert refused > 0
+
+    def test_one_agent_product_per_product(self):
+        world = self.build(latency=3)
+        world.spawn_agent(AgentRole.PRODUCT, "n1", product_id=PID, agent_id="ap-01")
+        migrate(world, "ap-01", "n2")
+        for home in ("n1", "n2"):
+            with pytest.raises(SimulationError, match="'ap-02'.*'ap-01'"):
+                world.spawn_agent(AgentRole.PRODUCT, home, product_id=PID, agent_id="ap-02")
+            tick(world)
+        assert "ap-02" not in world.agents
+        world.spawn_agent(AgentRole.PRODUCT, "n1", product_id=PID2, agent_id="ap-02")
+        world.spawn_agent(AgentRole.SERVICE, "n1", product_id=PID, agent_id="as-02")
 
     def test_resident_directory_is_a_copy(self):
         world = World()
@@ -476,6 +599,69 @@ class TestWorldRules:
         refused = [e for e in tick(world) if e.event_kind == EVT_PEID_REFUSED]
         assert [e.msg_id for e in refused] == ["m000002"]
         assert product.peid.event_log == ordered
+
+    def test_fault_reaches_every_resident_service(self):
+        world = World(routing=RoutingTable(rules=(
+            RoutingRule("fault.reported", ("AgentService",)),
+            RoutingRule("*", ()),
+        )))
+        world.register_node(NodeKind.PRODUCT_EMBEDDED, "pe")
+        world.register_node(NodeKind.REPAIR_GARAGE, "garage")
+        world.register_node(NodeKind.MANUFACTURER, "mfg")
+        world.register_product(PID, 1, LifecyclePhase.EOL_USE, node="pe")
+        world.spawn_agent(AgentRole.PRODUCT, "pe", product_id=PID, agent_id="ap-01")
+        world.spawn_agent(AgentRole.SERVICE, "garage", agent_id="as-01")
+        world.spawn_agent(AgentRole.SERVICE, "mfg", agent_id="as-02")
+        world.spawn_agent(AgentRole.SERVICE, "mfg", product_id=PID2, agent_id="as-03")
+        message = world.send("fault.reported", FaultReported(PID, 1, "x"), "pe", "pe",
+                             deliver_at=1)
+        delivered = [e.agent for e in tick(world)
+                     if e.event_kind == EVT_MESSAGE_DELIVERED and e.msg_id == message.msg_id]
+        assert delivered == ["as-01", "as-02", "as-03"]
+
+    def test_service_order_reaches_only_its_products_agent(self):
+        world = World(routing=RoutingTable(rules=(
+            RoutingRule("service.order", ("AgentProduct",)),
+            RoutingRule("*", ()),
+        )))
+        world.register_node(NodeKind.REPAIR_GARAGE, "garage")
+        for pid, aid in ((PID, "ap-01"), (PID2, "ap-02")):
+            world.register_product(pid, 1, LifecyclePhase.EOL_USE, node="garage")
+            world.spawn_agent(AgentRole.PRODUCT, "garage", product_id=pid, agent_id=aid)
+        world.send("service.order", ServiceOrder(PID2, 1, "x"), "garage", "garage",
+                   deliver_at=1)
+        delivered = [e.agent for e in tick(world) if e.event_kind == EVT_MESSAGE_DELIVERED]
+        assert delivered == ["ap-02"]
+        assert world.agents["ap-02"].memory == {"service_orders_seen": 1}
+        assert world.agents["ap-01"].memory == {}
+
+    def test_batch_for_agent_in_flight_is_dropped_once(self):
+        world = World(
+            routing=RoutingTable(rules=(
+                RoutingRule("sensor.*", ("AgentProduct",)),
+                RoutingRule("knowledge.record", ("AgentKnowledge",)),
+                RoutingRule("*", ()),
+            )),
+            latency=LatencyMap(default=3),
+        )
+        world.register_node(NodeKind.PRODUCT_EMBEDDED, "pe")
+        world.register_node(NodeKind.REPAIR_GARAGE, "garage")
+        for pid, aid in ((PID, "ap-01"), (PID2, "ap-02")):
+            world.register_product(pid, 1, LifecyclePhase.EOL_USE, node="pe")
+            world.spawn_agent(AgentRole.PRODUCT, "pe", product_id=pid, agent_id=aid)
+        world.spawn_agent(AgentRole.KNOWLEDGE, "pe", agent_id="ak-01")
+        migrate(world, "ap-01", "garage")   # lands at tick 3
+        batch = SensorBatch(PID, 1, "use", (SensorEvent("temp", 20.0, "C", 1),))
+        message = world.send("sensor.use", batch, "pe", "pe", deliver_at=1)
+        for _ in range(5):
+            tick(world)
+        kinds = [e.event_kind for e in world.events]
+        dropped = [e.msg_id for e in world.events if e.event_kind == EVT_MESSAGE_DROPPED]
+        assert dropped == [message.msg_id]
+        assert EVT_KNOWLEDGE_INSERTED not in kinds
+        assert EVT_MESSAGE_DELIVERED not in kinds
+        assert world.agents["ap-01"].location == "garage"
+        assert compute_report(world.events).dropped_messages == 1
 
     def test_event_log_line_shape(self):
         world = World()
