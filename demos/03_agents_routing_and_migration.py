@@ -7,6 +7,8 @@ the service agent react, and marches an itinerant agent through a
 network partition that first refuses and then releases it.
 """
 
+import json
+
 from ploop.agents import AgentRole
 from ploop.identity import mint_product_id
 from ploop.lifecycle import LifecyclePhase
@@ -53,9 +55,9 @@ world.send("fault.reported", FaultReported(pid, 1, "overheat"),
 print("tick  events")
 for _ in range(10):
     for event in tick(world):
+        detail = json.dumps(event.detail, sort_keys=True, separators=(",", ":"))
         print(f"{event.tick:>4}  {event.event_kind:<22} "
-              f"node={event.node or '-':<8} agent={event.agent or '-':<12} "
-              f"{event.detail}")
+              f"node={event.node or '-':<8} agent={event.agent or '-':<12} {detail}")
 
 print("\nfinal placement:")
 for agent_id, where in sorted(world.census().items()):

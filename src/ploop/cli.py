@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from typing import Iterator
 
 from .harness import (
@@ -73,18 +74,18 @@ def _log_events(path: str) -> Iterator[LoggedEvent]:
             continue
         try:
             event = LoggedEvent.from_json_line(line)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioParseError(f"{path}:{number}: not a log event ({exc!r})") from None
+        except ValueError as exc:
+            raise ScenarioParseError(f"{path}:{number}: not a log event ({exc})") from None
         yield event
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         report = compute_report(_log_events(args.log))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"{args.log}: not a run log ({exc!r})") from None
+    except ScenarioValidationError as exc:
+        raise ScenarioValidationError(f"{args.log}: not a run log ({exc})") from None
     if args.json:
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        sys.stdout.write(json.dumps(asdict(report), indent=2) + "\n")
     else:
         sys.stdout.write(report.to_text())
     return EXIT_OK
@@ -101,7 +102,7 @@ def _load_report(path: str) -> RunReport:
 def _cmd_compare(args: argparse.Namespace) -> int:
     summary = compare(_load_report(args.a), _load_report(args.b))
     if args.json:
-        sys.stdout.write(json.dumps(summary.to_dict(), indent=2) + "\n")
+        sys.stdout.write(json.dumps(asdict(summary), indent=2) + "\n")
     else:
         sys.stdout.write(summary.to_text())
     return EXIT_OK

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -60,7 +60,7 @@ from .runtime import (
     RoutingTable,
     SimParams,
     World,
-    detail_str,
+    detail_str,  # unused here; perfbench traces ploop.harness.detail_str by name
     tick,
 )
 
@@ -561,7 +561,7 @@ def build_world(scenario: Scenario, seed_override: int | None = None) -> World:
     )
     world.log(
         EVT_RUN_STARTED,
-        detail=detail_str(scenario=scenario.name, seed=seed, horizon=scenario.horizon),
+        detail={"scenario": scenario.name, "seed": seed, "horizon": scenario.horizon},
     )
     for decl in scenario.nodes:
         world.register_node(decl.kind, decl.node_id)
@@ -648,24 +648,6 @@ class RunReport:
     dropped_messages: int
     migrations: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "total_ticks": self.total_ticks,
-            "launch_times": [
-                {"family": lt.family, "generation": lt.generation, "tick": lt.tick}
-                for lt in self.launch_times
-            ],
-            "loop_closure_latency": self.loop_closure_latency,
-            "knowledge_by_mode": self.knowledge_by_mode,
-            "knowledge_by_source": self.knowledge_by_source,
-            "knowledge_by_activity": self.knowledge_by_activity,
-            "eol_decisions": self.eol_decisions,
-            "dropped_messages": self.dropped_messages,
-            "migrations": self.migrations,
-        }
-
     @classmethod
     def from_dict(cls, raw: Any) -> "RunReport":
         """A report read back from JSON; each field must have its JSON type."""
@@ -727,7 +709,8 @@ class RunReport:
 
 def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     """Derive the run report purely from the events of a run log: the
-    world's events in ``run``, a saved log's decoded lines in ``ploop report``."""
+    world's events in ``run``, a saved log's decoded lines in ``ploop report``.
+    Each detail field read must have its JSON type."""
     scenario = ""
     seed = 0
     total_ticks = 0
@@ -742,28 +725,31 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     migrations = 0
 
     for event in events:
-        detail = json.loads(event.detail) if event.detail else {}
+        detail = event.detail
         if event.event_kind == EVT_RUN_STARTED:
-            scenario = detail.get("scenario", "")
-            seed = detail.get("seed", 0)
-            total_ticks = detail.get("horizon", 0)
+            scenario = _field(detail, "scenario", "a string", "", "run_started ")
+            seed = _field(detail, "seed", "an integer", 0, "run_started ")
+            total_ticks = _field(detail, "horizon", "an integer", 0, "run_started ")
         elif event.event_kind == EVT_RUN_FINISHED:
             total_ticks = event.tick
         elif event.event_kind == EVT_KNOWLEDGE_INSERTED:
             if first_record_tick is None:
                 first_record_tick = event.tick
-            by_mode[detail["mode"]] = by_mode.get(detail["mode"], 0) + 1
-            by_source[detail["source"]] = by_source.get(detail["source"], 0) + 1
-            by_activity[detail["activity"]] = by_activity.get(detail["activity"], 0) + 1
+            for counts, key in ((by_mode, "mode"), (by_source, "source"),
+                                (by_activity, "activity")):
+                value = _field(detail, key, "a string", what="knowledge_inserted ")
+                counts[value] = counts.get(value, 0) + 1
         elif event.event_kind == EVT_DESIGN_TRIGGER:
             if first_trigger_tick is None:
                 first_trigger_tick = event.tick
         elif event.event_kind == EVT_GENERATION_LAUNCHED:
-            launch_times.append(
-                LaunchTime(detail["family"], detail["generation"], event.tick)
-            )
+            launch_times.append(LaunchTime(
+                _field(detail, "family", "a string", what="generation_launched "),
+                _field(detail, "generation", "an integer", what="generation_launched "),
+                event.tick,
+            ))
         elif event.event_kind == EVT_EOL_DECISION:
-            decision = detail["decision"]
+            decision = _field(detail, "decision", "a string", what="eol_decision ")
             eol_decisions[decision] = eol_decisions.get(decision, 0) + 1
         elif event.event_kind == EVT_MESSAGE_DROPPED:
             dropped += 1
@@ -815,7 +801,7 @@ def run(
     world = build_world(scenario, seed_override)
     for _ in range(scenario.horizon):
         tick(world)
-    world.log(EVT_RUN_FINISHED, detail=detail_str(ticks=scenario.horizon))
+    world.log(EVT_RUN_FINISHED, detail={"ticks": scenario.horizon})
     report = compute_report(world.events)
     if out_dir is not None:
         write_run_files(scenario.name, world, report, out_dir)
@@ -837,7 +823,7 @@ def write_run_files(
         "".join(event.to_json_line() + "\n" for event in world.events), encoding="utf-8"
     )
     paths["report_json"].write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8"
     )
     paths["report_text"].write_text(report.to_text(), encoding="utf-8")
     world.repository.save(paths["repository"])
@@ -853,14 +839,6 @@ class ComparisonSummary:
     baseline_launch_tick: int
     delta: int
     improvement: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "feedback_launch_tick": self.feedback_launch_tick,
-            "baseline_launch_tick": self.baseline_launch_tick,
-            "delta": self.delta,
-            "improvement": self.improvement,
-        }
 
     def to_text(self) -> str:
         verdict = "improvement" if self.improvement else "no improvement"

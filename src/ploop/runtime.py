@@ -29,17 +29,23 @@ agent of the role.
 
 Per-tick cost follows activity, not agent count. The World keeps its
 indexes up to date instead of rescanning: the resident directory (agent
-to role for every agent not in flight), resident agent ids by role and
-the resident AgentProduct by product, which routing reads; the residents
-with a pending itinerary, which step 5 walks; and the partition windows
-by node pair, which ``severed`` reads. Spawn, migration start and
-arrival maintain all but the windows, which are fixed at construction.
+to role for every agent not in flight) and resident agent ids by role,
+which routing reads with the AgentProduct bound to each product; the
+residents with a pending itinerary, which step 5 walks; and the
+partition windows by node pair, which ``severed`` reads. Spawn,
+migration start and arrival maintain the resident indexes; a product's
+AgentProduct is bound once, at spawn, and the windows are fixed at
+construction.
 A parked agent without an itinerary costs a tick nothing, and a delivery
 costs only the recipients its rule resolves to.
 
 Fail-closed faults: partitioned migrations are refused at send time and
 logged; partitioned deliveries are dropped and logged; no message or agent
 ever crosses a severed pair.
+
+Every log site passes its detail as a dict; ``LoggedEvent`` owns the line
+format, encoding it only when a line is written and decoding it only when
+a saved log is read back.
 """
 
 from __future__ import annotations
@@ -151,16 +157,22 @@ EVT_MIGRATION_REFUSED = "migration_refused"
 EVT_PEID_REFUSED = "peid_refused"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoggedEvent:
-    """One line of the run log; field order is fixed and byte-stable."""
+    """One line of the run log, and the one owner of its format.
+
+    ``detail`` is a plain dict in memory. ``to_json_line`` is the only
+    encoder: six fixed fields in a fixed order, with the detail written as
+    key-sorted compact JSON text (``""`` when empty). ``from_json_line`` is
+    the only decoder, and it refuses a field of the wrong JSON type.
+    """
 
     tick: int
     event_kind: str
     node: str = ""
     agent: str = ""
     msg_id: str = ""
-    detail: str = ""
+    detail: dict[str, Any] = field(default_factory=dict)
 
     def to_json_line(self) -> str:
         return json.dumps(
@@ -170,7 +182,7 @@ class LoggedEvent:
                 "node": self.node,
                 "agent": self.agent,
                 "msg_id": self.msg_id,
-                "detail": self.detail,
+                "detail": detail_str(self.detail) if self.detail else "",
             },
             separators=(",", ":"),
         )
@@ -178,19 +190,23 @@ class LoggedEvent:
     @classmethod
     def from_json_line(cls, line: str) -> "LoggedEvent":
         raw = json.loads(line)
-        return cls(
-            tick=raw["tick"],
-            event_kind=raw["event_kind"],
-            node=raw["node"],
-            agent=raw["agent"],
-            msg_id=raw["msg_id"],
-            detail=raw["detail"],
-        )
+        if type(raw) is not dict:
+            raise ValueError("a log line must be a JSON object")
+        if type(raw.get("tick")) is not int:
+            raise ValueError(f"tick must be an integer, got {type(raw.get('tick')).__name__}")
+        for key in ("event_kind", "node", "agent", "msg_id", "detail"):
+            if type(raw.get(key)) is not str:
+                raise ValueError(f"{key} must be a string, got {type(raw.get(key)).__name__}")
+        detail = json.loads(raw["detail"]) if raw["detail"] else {}
+        if type(detail) is not dict:
+            raise ValueError("detail must be empty or the text of a JSON object")
+        return cls(raw["tick"], raw["event_kind"], raw["node"], raw["agent"],
+                   raw["msg_id"], detail)
 
 
-def detail_str(**kv: Any) -> str:
-    """Compact, key-sorted JSON for the detail field."""
-    return json.dumps(kv, sort_keys=True, separators=(",", ":"))
+def detail_str(detail: Mapping[str, Any]) -> str:
+    """Compact, key-sorted JSON: the detail field as a log line writes it."""
+    return json.dumps(detail, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -251,13 +267,14 @@ def route(
     """Resolve the first matching rule to concrete resident agents.
 
     ``directory`` maps each resident agent to its role, ``roles`` each role
-    to its resident agents and ``products`` each product to its resident
-    AgentProduct. An agent-id selector names that agent; a role selector
-    names every resident agent of the role, except that the AgentProduct
-    selector binds a SensorBatch, ServiceOrder, CustomerFeedback or
-    FaultReported to the one AgentProduct of its ``product_id``. Unknown
-    selectors and agents in flight resolve to nothing. The result is
-    ascending by agent id; an empty result means drop-with-log.
+    to its resident agents and ``products`` each product to the
+    AgentProduct bound to it at spawn, resident or in flight. An agent-id
+    selector names that agent; a role selector names every resident agent
+    of the role, except that the AgentProduct selector binds a SensorBatch,
+    ServiceOrder, CustomerFeedback or FaultReported to the one AgentProduct
+    of its ``product_id``. Unknown selectors and agents in flight resolve
+    to nothing. The result is ascending by agent id; an empty result means
+    drop-with-log.
     """
     rule = table.first_match(message.routing_key)
     payload = message.payload
@@ -269,7 +286,7 @@ def route(
                 out.add(selector)
         elif role is AgentRole.PRODUCT and isinstance(payload, _PRODUCT_SCOPED):
             bound = products.get(payload.product_id)
-            if bound is not None:
+            if bound in directory:
                 out.add(bound)
         else:
             out.update(roles.get(role, ()))
@@ -399,10 +416,11 @@ class World:
         self.repository = KnowledgeRepository()
         self.started_generations: set[tuple[str, int]] = set()
         # Kept by _settle and _depart: every agent not in flight with its
-        # role, the same agents by role, the AgentProducts among them by
-        # product, and those whose itinerary is not empty.
+        # role, the same agents by role, and those whose itinerary is not
+        # empty.
         self._residents: dict[str, AgentRole] = {}
         self._by_role: dict[AgentRole, set[str]] = {role: set() for role in AgentRole}
+        # Set once at spawn: each product's AgentProduct, resident or not.
         self._by_product: dict[ProductID, str] = {}
         self._travellers: set[str] = set()
         self._pending: list[tuple[int, int, Message]] = []
@@ -415,7 +433,7 @@ class World:
     # -- logging ----------------------------------------------------------
 
     def log(self, event_kind: str, node: str = "", agent: str = "",
-            msg_id: str = "", detail: str = "") -> None:
+            msg_id: str = "", *, detail: dict[str, Any]) -> None:
         self.events.append(
             LoggedEvent(self.clock, event_kind, node, agent, msg_id, detail)
         )
@@ -429,7 +447,7 @@ class World:
         if node_id in self.nodes:
             raise SimulationError(f"node id already registered: {node_id!r}")
         self.nodes[node_id] = Node(node_id=node_id, kind=kind)
-        self.log(EVT_NODE_REGISTERED, node=node_id, detail=detail_str(kind=kind.value))
+        self.log(EVT_NODE_REGISTERED, node=node_id, detail={"kind": kind.value})
         return node_id
 
     def register_product(
@@ -461,22 +479,16 @@ class World:
         if node is not None and node not in self.nodes:
             raise UnknownNode(f"product node {node!r} is not registered")
         self.products[state.key] = state
-        level = classify_intelligence(caps)
-        meta: dict[str, Any] = {}
+        detail = {
+            "family": state.family,
+            "generation": generation,
+            "phase": phase.value,
+            "intelligence": classify_intelligence(caps).value,
+        }
         if location_meta is not None:
-            meta["channel"] = location_meta.channel.value
-            meta["granularity"] = location_meta.granularity.value
-        self.log(
-            EVT_PRODUCT_REGISTERED,
-            node=node or "",
-            detail=detail_str(
-                family=state.family,
-                generation=generation,
-                phase=phase.value,
-                intelligence=level.value,
-                **meta,
-            ),
-        )
+            detail["channel"] = location_meta.channel.value
+            detail["granularity"] = location_meta.granularity.value
+        self.log(EVT_PRODUCT_REGISTERED, node=node or "", detail=detail)
         return state
 
     def spawn_agent(
@@ -507,24 +519,22 @@ class World:
             itinerary=itinerary,
         )
         if role is AgentRole.PRODUCT:
-            # The product index holds residents; a bound agent may be in flight.
-            bound = self._by_product.get(product_id) or next(
-                (aid for aid in self.in_flight if self.agents[aid].role is role
-                 and self.agents[aid].product_id == product_id), None)
+            bound = self._by_product.get(product_id)
             if bound is not None:
                 raise SimulationError(
                     f"AgentProduct {agent_id!r}: product {product_id.render()!r} is "
                     f"already bound to AgentProduct {bound!r}")
+            self._by_product[product_id] = agent_id
         self.agents[agent_id] = state
         self._settle(state)
         self.log(
             EVT_AGENT_SPAWNED,
             node=home,
             agent=agent_id,
-            detail=detail_str(
-                role=role.value,
-                product=product_id.render() if product_id else "",
-            ),
+            detail={
+                "role": role.value,
+                "product": product_id.render() if product_id else "",
+            },
         )
         return agent_id
 
@@ -557,7 +567,7 @@ class World:
             node=origin_node,
             agent=sender,
             msg_id=message.msg_id,
-            detail=detail_str(key=routing_key, kind=payload_kind(payload)),
+            detail={"key": routing_key, "kind": payload_kind(payload)},
         )
         return message
 
@@ -584,8 +594,6 @@ class World:
         self.nodes[agent.location].resident_agents.add(agent.agent_id)
         self._residents[agent.agent_id] = agent.role
         self._by_role[agent.role].add(agent.agent_id)
-        if agent.role is AgentRole.PRODUCT:
-            self._by_product[agent.product_id] = agent.agent_id
         if agent.itinerary:
             self._travellers.add(agent.agent_id)
 
@@ -594,8 +602,6 @@ class World:
         self.nodes[agent.location].resident_agents.discard(agent.agent_id)
         del self._residents[agent.agent_id]
         self._by_role[agent.role].discard(agent.agent_id)
-        if agent.role is AgentRole.PRODUCT:
-            del self._by_product[agent.product_id]
         self._travellers.discard(agent.agent_id)
 
     # -- invariant helpers --------------------------------------------------
@@ -646,7 +652,7 @@ def migrate(world: World, agent_id: str, target: str) -> World:
         EVT_MIGRATION_STARTED,
         node=source,
         agent=agent_id,
-        detail=detail_str(target=target, arrive_at=arrive_at),
+        detail={"target": target, "arrive_at": arrive_at},
     )
     return world
 
@@ -685,7 +691,7 @@ def _complete_due_migrations(world: World) -> None:
             EVT_MIGRATION_COMPLETED,
             node=transfer.target,
             agent=transfer.agent_id,
-            detail=detail_str(source=transfer.source),
+            detail={"source": transfer.source},
         )
 
 
@@ -704,24 +710,24 @@ def _advance_product(world: World, product: ProductState, event: LifecycleEvent)
         world.log(
             EVT_LIFECYCLE_REFUSED,
             node=product.node or "",
-            detail=detail_str(
-                family=product.family,
-                generation=product.generation,
-                event=event.value,
-                phase=product.phase.value,
-            ),
+            detail={
+                "family": product.family,
+                "generation": product.generation,
+                "event": event.value,
+                "phase": product.phase.value,
+            },
         )
         return False
     world.log(
         EVT_LIFECYCLE_ADVANCED,
         node=product.node or "",
-        detail=detail_str(
-            family=product.family,
-            generation=product.generation,
-            event=event.value,
-            from_phase=product.phase.value,
-            to_phase=new_phase.value,
-        ),
+        detail={
+            "family": product.family,
+            "generation": product.generation,
+            "event": event.value,
+            "from_phase": product.phase.value,
+            "to_phase": new_phase.value,
+        },
     )
     product.phase = new_phase
     return True
@@ -743,23 +749,23 @@ def _apply_action(world: World, action: Action) -> None:
             world.log(
                 EVT_LIFECYCLE_REFUSED,
                 node=product.node or "",
-                detail=detail_str(
-                    family=product.family,
-                    generation=product.generation,
-                    event=LifecycleEvent.DISPOSITION_EXECUTED.value,
-                    phase="no-components",
-                ),
+                detail={
+                    "family": product.family,
+                    "generation": product.generation,
+                    "event": LifecycleEvent.DISPOSITION_EXECUTED.value,
+                    "phase": "no-components",
+                },
             )
             return
         decision = decide_eol(product.components, world.params.eol_policy)
         world.log(
             EVT_EOL_DECISION,
             node=product.node or "",
-            detail=detail_str(
-                family=product.family,
-                generation=product.generation,
-                decision=decision.value,
-            ),
+            detail={
+                "family": product.family,
+                "generation": product.generation,
+                "decision": decision.value,
+            },
         )
         _advance_product(world, product, LifecycleEvent.DISPOSITION_EXECUTED)
     elif action.kind is ActionKind.DESIGN_COMPLETE:
@@ -772,9 +778,7 @@ def _apply_action(world: World, action: Action) -> None:
         if _advance_product(world, product, LifecycleEvent.MANUFACTURED):
             world.log(
                 EVT_GENERATION_LAUNCHED,
-                detail=detail_str(
-                    family=product.family, generation=product.generation
-                ),
+                detail={"family": product.family, "generation": product.generation},
             )
 
 
@@ -797,7 +801,7 @@ def _start_generation(world: World, family: str, next_generation: int) -> None:
     )
     world.log(
         EVT_GENERATION_STARTED,
-        detail=detail_str(family=family, generation=next_generation),
+        detail={"family": family, "generation": next_generation},
     )
     world.schedule_action(
         world.clock + world.params.design_ticks,
@@ -829,7 +833,7 @@ def _world_rules(world: World, message: Message) -> None:
                     EVT_PEID_REFUSED,
                     node=product.node or "",
                     msg_id=message.msg_id,
-                    detail=detail_str(family=product.family, reason=str(exc)),
+                    detail={"family": product.family, "reason": str(exc)},
                 )
     elif isinstance(payload, FaultReported):
         product = world.products.get(payload.product_id.render())
@@ -845,11 +849,11 @@ def _world_rules(world: World, message: Message) -> None:
             EVT_DESIGN_TRIGGER,
             node=message.origin_node,
             msg_id=message.msg_id,
-            detail=detail_str(
-                family=payload.family,
-                from_generation=payload.from_generation,
-                next_generation=payload.next_generation,
-            ),
+            detail={
+                "family": payload.family,
+                "from_generation": payload.from_generation,
+                "next_generation": payload.next_generation,
+            },
         )
         if payload.family in world.products:
             _start_generation(world, payload.family, payload.next_generation)
@@ -864,7 +868,7 @@ def _process_delivery(world: World, message: Message) -> None:
             EVT_MESSAGE_DROPPED,
             node=message.origin_node,
             msg_id=message.msg_id,
-            detail=detail_str(key=message.routing_key),
+            detail={"key": message.routing_key},
         )
         return
     for agent_id in recipients:
@@ -876,7 +880,7 @@ def _process_delivery(world: World, message: Message) -> None:
                 node=location,
                 agent=agent_id,
                 msg_id=message.msg_id,
-                detail=detail_str(origin=message.origin_node, key=message.routing_key),
+                detail={"origin": message.origin_node, "key": message.routing_key},
             )
             continue
         world.log(
@@ -884,7 +888,7 @@ def _process_delivery(world: World, message: Message) -> None:
             node=location,
             agent=agent_id,
             msg_id=message.msg_id,
-            detail=detail_str(origin=message.origin_node, key=message.routing_key),
+            detail={"origin": message.origin_node, "key": message.routing_key},
         )
         try:
             effects = handle(agent, message, world.clock)
@@ -894,7 +898,7 @@ def _process_delivery(world: World, message: Message) -> None:
                 node=location,
                 agent=agent_id,
                 msg_id=message.msg_id,
-                detail=detail_str(kind=payload_kind(message.payload), reason=str(exc)),
+                detail={"kind": payload_kind(message.payload), "reason": str(exc)},
             )
             continue
         for effect in effects:
@@ -935,14 +939,14 @@ def _insert_record(world: World, agent: AgentState, record: KnowledgeRecord) -> 
         EVT_KNOWLEDGE_INSERTED,
         node=agent.location,
         agent=agent.agent_id,
-        detail=detail_str(
-            family=record.family,
-            generation=record.generation,
-            mode=record.mode.value,
-            source=record.source.value,
-            activity=record.activity.value,
-            record_id=record.record_id,
-        ),
+        detail={
+            "family": record.family,
+            "generation": record.generation,
+            "mode": record.mode.value,
+            "source": record.source.value,
+            "activity": record.activity.value,
+            "record_id": record.record_id,
+        },
     )
     params = world.params
     count = world.repository.count(record.family, record.generation)
@@ -973,5 +977,5 @@ def _plan_itineraries(world: World) -> None:
                     EVT_MIGRATION_REFUSED,
                     node=agent.location,
                     agent=agent_id,
-                    detail=detail_str(target=effect.target, reason="partitioned"),
+                    detail={"target": effect.target, "reason": "partitioned"},
                 )

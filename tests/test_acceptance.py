@@ -3,7 +3,6 @@ line (visible with -s; shown on failure otherwise). Every tolerance is
 exact/zero unless stated; each criterion also enforces its runtime
 budget."""
 
-import json
 import random
 import string
 import time
@@ -261,7 +260,7 @@ def test_criterion_7_closed_loop_reaches_repository_at_traced_tick():
         submissions = [
             e for e in events
             if e.event_kind == "message_sent"
-            and json.loads(e.detail)["key"] == "knowledge.record"
+            and e.detail["key"] == "knowledge.record"
         ]
         inserted = [e for e in events if e.event_kind == "knowledge_inserted"]
         # Every emitted record reaches the manufacturer repository: no
@@ -270,7 +269,7 @@ def test_criterion_7_closed_loop_reaches_repository_at_traced_tick():
         lost = [
             e for e in events
             if e.event_kind in ("message_dropped", "message_blocked")
-            and json.loads(e.detail).get("key") == "knowledge.record"
+            and e.detail.get("key") == "knowledge.record"
         ]
         assert lost == []
         assert len(submissions) == len(inserted) == 9
@@ -304,7 +303,7 @@ def test_criterion_9_partition_safety_log_audit():
         crossings = 0
         blocked = refused = 0
         for event in result.world.events:
-            detail = json.loads(event.detail) if event.detail else {}
+            detail = event.detail
             if event.event_kind == "message_delivered":
                 assert not severed(detail["origin"], event.node, event.tick)
                 crossings += detail["origin"] != event.node

@@ -1,5 +1,4 @@
 import copy
-import json
 import random
 
 import pytest
@@ -146,7 +145,7 @@ class TestAgentImpact:
 
 def design_trigger_sends(events):
     return [e for e in events if e.event_kind == "message_sent"
-            and json.loads(e.detail)["key"] == KEY_DESIGN_TRIGGER]
+            and e.detail["key"] == KEY_DESIGN_TRIGGER]
 
 
 class TestAgentKnowledge:

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from ploop.cli import main
+from ploop.runtime import LoggedEvent
 
 
 @pytest.fixture(autouse=True)
@@ -219,6 +221,7 @@ STARTED = EVENT.format(0, "run_started", '"{}"')
 BAD_INPUTS = {
     "report: a line is not JSON": ("report", STARTED + "{not json\n", ":2: not a log event"),
     "report: a line has no event_kind": ("report", '{"tick":0}\n', ":1: not a log event"),
+    "report: a line is a list": ("report", STARTED + "[]\n", ":2: not a log event"),
     "report: a record detail lacks mode": (
         "report", STARTED + EVENT.format(3, "knowledge_inserted", '"{}"'), "not a run log"),
     "report: not UTF-8": ("report", b"\xff\xfe", "can't decode"),
@@ -304,3 +307,71 @@ def test_compare_mistyped_report_exits_1_naming_it(case, fixtures_dir, tmp_path,
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith(f"error: {path}: not a run report") and message in err
+
+
+ENVELOPE = ("tick", "event_kind", "node", "agent", "msg_id", "detail")
+
+# Each case: the kind of the first line of closed_loop's log to mutate, the
+# field set on it (an envelope field, else a detail field), the value, and
+# the part of the error message that names the field. Before the exact type
+# checks, 13 of these cases exited 0; only the three "detail" cases and the
+# two knowledge_inserted ones exited 1, and none of them named the line.
+MISTYPED_LOG_FIELDS = {
+    "run_finished tick is a string": ("run_finished", "tick", "x",
+                                      "tick must be an integer"),
+    "run_started tick is a bool": ("run_started", "tick", False, "tick must be an integer"),
+    "design_trigger tick is a float": ("design_trigger", "tick", 12.0,
+                                       "tick must be an integer"),
+    "event_kind is a number": ("run_finished", "event_kind", 7,
+                               "event_kind must be a string"),
+    "node is null": ("message_delivered", "node", None, "node must be a string"),
+    "agent is a list": ("message_delivered", "agent", [], "agent must be a string"),
+    "msg_id is a number": ("message_delivered", "msg_id", 5, "msg_id must be a string"),
+    "detail is an object, not its text": ("knowledge_inserted", "detail", {"mode": "Tacit"},
+                                          "detail must be a string"),
+    "detail text is a list": ("run_started", "detail", "[]",
+                              "detail must be empty or the text of a JSON object"),
+    "detail text is not JSON": ("run_started", "detail", "{x", "Expecting property name"),
+    "run_started scenario is a number": ("run_started", "scenario", 5,
+                                         "run_started scenario must be a string"),
+    "run_started seed is a string": ("run_started", "seed", "z",
+                                     "run_started seed must be an integer"),
+    "run_started horizon is a bool": ("run_started", "horizon", True,
+                                      "run_started horizon must be an integer"),
+    "knowledge_inserted mode is a number": ("knowledge_inserted", "mode", 7,
+                                            "knowledge_inserted mode must be a string"),
+    "knowledge_inserted source is null": ("knowledge_inserted", "source", None,
+                                          "knowledge_inserted source must be a string"),
+    "generation_launched family is a number": (
+        "generation_launched", "family", 1, "generation_launched family must be a string"),
+    "generation_launched generation is a string": (
+        "generation_launched", "generation", "2",
+        "generation_launched generation must be an integer"),
+    "eol_decision decision is null": ("eol_decision", "decision", None,
+                                      "eol_decision decision must be a string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_LOG_FIELDS))
+def test_report_mistyped_log_field_exits_1_naming_it(case, fixtures_dir, tmp_path, capsys):
+    kind, key, value, message = MISTYPED_LOG_FIELDS[case]
+    assert main(["run", "--scenario", str(fixtures_dir / "closed_loop.scn"),
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "closed_loop.events.jsonl").read_text().splitlines()
+    events = [LoggedEvent.from_json_line(line) for line in lines]
+    at = next(i for i, event in enumerate(events) if event.event_kind == kind)
+    if key in ENVELOPE:
+        raw = json.loads(lines[at])
+        raw[key] = value
+        lines[at] = json.dumps(raw, separators=(",", ":"))
+        where = f":{at + 1}: not a log event"
+    else:
+        lines[at] = replace(events[at], detail={**events[at].detail, key: value}).to_json_line()
+        where = ": not a run log"
+    path = tmp_path / "bad.events.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["report", "--log", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: {path}{where}") and message in err

@@ -151,7 +151,7 @@ class TestRun:
     def test_closed_loop_repair_loop_in_log(self, fixtures_dir):
         result = run(load_scenario(fixtures_dir / "closed_loop.scn"))
         advances = [
-            json.loads(e.detail)
+            e.detail
             for e in result.world.events
             if e.event_kind == "lifecycle_advanced"
         ]
@@ -171,6 +171,7 @@ class TestRun:
         result = run(scenario, out_dir=tmp_path)
         log = tmp_path / f"{scenario.name}.events.jsonl"
         events = [LoggedEvent.from_json_line(line) for line in log.read_text().splitlines()]
+        assert events == result.world.events
         assert compute_report(events) == result.report
         assert main(["report", "--log", str(log), "--json"]) == 0
         printed = capsys.readouterr().out
@@ -249,7 +250,7 @@ class TestCompare:
         result = run(load_scenario(fixtures_dir / "closed_loop.scn"))
         registered = next(e for e in result.world.events
                           if e.event_kind == "product_registered")
-        detail = json.loads(registered.detail)
+        detail = registered.detail
         assert detail["intelligence"] == "Level2"
         assert detail["channel"] == "AtObject"
         assert detail["granularity"] == "Item"
@@ -259,7 +260,7 @@ def test_fleet_families_get_their_own_records_from_their_own_agents():
     path = ROOT / "tests" / "golden" / "fleet.scn"
     doc = json.loads(path.read_text())
     result = run(load_scenario(path))
-    inserted = [json.loads(e.detail) for e in result.world.events
+    inserted = [e.detail for e in result.world.events
                 if e.event_kind == "knowledge_inserted"]
     # With no partitions, each stimulus that makes a record makes exactly
     # one: a non-empty batch at its product's AgentProduct (or, for the

@@ -254,7 +254,7 @@ class TestLoopClosure:
         world = keeper_world(PID, 5)
         self.feed(world, self.records(5))
         (trigger,) = [e for e in world.events if e.event_kind == "design_trigger"]
-        assert json.loads(trigger.detail) == {
+        assert trigger.detail == {
             "family": FAMILY, "from_generation": 1, "next_generation": 2}
         assert (FAMILY, 2) in world.started_generations
         assert "generation_launched" in self.kinds(world)

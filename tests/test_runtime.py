@@ -23,6 +23,7 @@ from ploop.runtime import (
     AgentInFlight,
     InvalidRoutingTable,
     LatencyMap,
+    LoggedEvent,
     Message,
     NodeKind,
     Partitioned,
@@ -364,8 +365,8 @@ class TestMigration:
             assert world._by_role == {
                 role: {aid for aid, r in residents.items() if r is role} for role in roles}
             assert world._by_product == {
-                world.agents[aid].product_id: aid for aid, role in residents.items()
-                if role is AgentRole.PRODUCT}
+                agent.product_id: aid for aid, agent in world.agents.items()
+                if agent.role is AgentRole.PRODUCT}
             assert world._travellers == {aid for aid in residents
                                          if world.agents[aid].itinerary}
             for a in names:
@@ -669,3 +670,8 @@ class TestWorldRules:
         line = world.events[-1].to_json_line()
         raw = json.loads(line)
         assert list(raw) == ["tick", "event_kind", "node", "agent", "msg_id", "detail"]
+        assert raw["detail"] == '{"kind":"Manufacturer"}'
+        assert LoggedEvent.from_json_line(line) == world.events[-1]
+        bare = LoggedEvent(3, "x")
+        assert bare.to_json_line().endswith('"detail":""}')
+        assert LoggedEvent.from_json_line(bare.to_json_line()) == bare
