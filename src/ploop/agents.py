@@ -67,7 +67,9 @@ class AgentState:
 
     product_id is mandatory for AgentProduct (the agent and the physical
     product share an id) and optional elsewhere. The itinerary lists nodes
-    still to visit; the runtime drops the heads an agent stands at.
+    still to visit; the runtime drops its leading stops at the agent's
+    location when the agent spawns or lands, so a resident agent's
+    itinerary never starts where it stands.
     """
 
     agent_id: str
@@ -205,8 +207,8 @@ def handle(agent: AgentState, message: Message, tick: int) -> list[Effect]:
 def plan_migration(agent: AgentState, directory: Collection[str]) -> RequestMigration | None:
     """Next hop from the itinerary, or None when there is nowhere to go.
 
-    The head must be a registered node; the runtime drops it once the
-    agent stands there.
+    The head must be a registered node; the runtime drops it when the
+    agent lands there.
     """
     if not agent.itinerary:
         return None

@@ -536,6 +536,8 @@ def load_json(path: Path | str) -> Any:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ScenarioParseError(f"{path}: nests too deeply to decode") from None
 
 
 def load_scenario(path: Path | str) -> Scenario:
@@ -819,9 +821,9 @@ def write_run_files(
         "report_text": out / f"{name}.report.txt",
         "repository": out / f"{name}.repository.jsonl",
     }
-    paths["events"].write_text(
-        "".join(event.to_json_line() + "\n" for event in world.events), encoding="utf-8"
-    )
+    with paths["events"].open("w", encoding="utf-8") as out:
+        for event in world.events:
+            out.write(event.to_json_line() + "\n")
     paths["report_json"].write_text(
         json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8"
     )

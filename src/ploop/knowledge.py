@@ -16,9 +16,13 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .identity import ProductID, parse_product_id
+
+# What json.dumps writes for an int; _quote is what it writes for a str.
+_int = int.__repr__
 
 
 class KnowledgeError(ValueError):
@@ -114,19 +118,11 @@ class KnowledgeRecord:
         return self.product_id.render()
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "record_id": self.record_id,
-                "product_id": self.family,
-                "generation": self.generation,
-                "activity": self.activity.value,
-                "mode": self.mode.value,
-                "source": self.source.value,
-                "payload": self.payload,
-                "created_at": self.created_at,
-            },
-            separators=(",", ":"),
-        )
+        return (f'{{"record_id":{_quote(self.record_id)},"product_id":{_quote(self.family)},'
+                f'"generation":{_int(self.generation)},'
+                f'"activity":{_quote(self.activity.value)},"mode":{_quote(self.mode.value)},'
+                f'"source":{_quote(self.source.value)},"payload":{_quote(self.payload)},'
+                f'"created_at":{_int(self.created_at)}}}')
 
     @classmethod
     def from_json_line(cls, line: str) -> "KnowledgeRecord":
@@ -198,8 +194,9 @@ class KnowledgeRepository:
 
     def save(self, path: Path | str) -> None:
         """Persist as JSON lines, one record per line, insertion order."""
-        text = "".join(r.to_json_line() + "\n" for r in self._records)
-        Path(path).write_text(text, encoding="utf-8")
+        with Path(path).open("w", encoding="utf-8") as out:
+            for record in self._records:
+                out.write(record.to_json_line() + "\n")
 
     @classmethod
     def load(cls, path: Path | str) -> "KnowledgeRepository":

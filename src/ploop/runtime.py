@@ -15,7 +15,9 @@ pairs replay byte-identical logs:
      for the payload kind apply first, then routing resolves recipients
      and each recipient handles the message, its effects applied in list
      order; a delivery across a severed pair is blocked and logged
-  5. resident agents with a pending itinerary plan one migration attempt
+  5. resident agents with a pending itinerary plan one migration attempt;
+     the stops an agent stands at were dropped from its itinerary when it
+     spawned or landed, so this step only plans
 
 The engine draws no random numbers: every order above is fixed by ticks
 and ids, so the seed only labels the run in its log.
@@ -44,8 +46,8 @@ logged; partitioned deliveries are dropped and logged; no message or agent
 ever crosses a severed pair.
 
 Every log site passes its detail as a dict; ``LoggedEvent`` owns the line
-format, encoding it only when a line is written and decoding it only when
-a saved log is read back.
+format, encoding it in one pass only when a line is written and decoding
+it only when a saved log is read back.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Collection, Iterable, Mapping
 
 from .agents import (
@@ -157,6 +160,11 @@ EVT_MIGRATION_REFUSED = "migration_refused"
 EVT_PEID_REFUSED = "peid_refused"
 
 
+# What json.dumps writes for an int; _quote is what it writes for a str.
+_int = int.__repr__
+_DETAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True, slots=True)
 class LoggedEvent:
     """One line of the run log, and the one owner of its format.
@@ -175,21 +183,17 @@ class LoggedEvent:
     detail: dict[str, Any] = field(default_factory=dict)
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "tick": self.tick,
-                "event_kind": self.event_kind,
-                "node": self.node,
-                "agent": self.agent,
-                "msg_id": self.msg_id,
-                "detail": detail_str(self.detail) if self.detail else "",
-            },
-            separators=(",", ":"),
-        )
+        detail = detail_str(self.detail) if self.detail else ""
+        return (f'{{"tick":{_int(self.tick)},"event_kind":{_quote(self.event_kind)},'
+                f'"node":{_quote(self.node)},"agent":{_quote(self.agent)},'
+                f'"msg_id":{_quote(self.msg_id)},"detail":{_quote(detail)}}}')
 
     @classmethod
     def from_json_line(cls, line: str) -> "LoggedEvent":
-        raw = json.loads(line)
+        try:
+            raw = json.loads(line)
+        except RecursionError:
+            raise ValueError("a log line nests too deeply to decode") from None
         if type(raw) is not dict:
             raise ValueError("a log line must be a JSON object")
         if type(raw.get("tick")) is not int:
@@ -197,7 +201,10 @@ class LoggedEvent:
         for key in ("event_kind", "node", "agent", "msg_id", "detail"):
             if type(raw.get(key)) is not str:
                 raise ValueError(f"{key} must be a string, got {type(raw.get(key)).__name__}")
-        detail = json.loads(raw["detail"]) if raw["detail"] else {}
+        try:
+            detail = json.loads(raw["detail"]) if raw["detail"] else {}
+        except RecursionError:
+            raise ValueError("detail nests too deeply to decode") from None
         if type(detail) is not dict:
             raise ValueError("detail must be empty or the text of a JSON object")
         return cls(raw["tick"], raw["event_kind"], raw["node"], raw["agent"],
@@ -206,7 +213,7 @@ class LoggedEvent:
 
 def detail_str(detail: Mapping[str, Any]) -> str:
     """Compact, key-sorted JSON: the detail field as a log line writes it."""
-    return json.dumps(detail, sort_keys=True, separators=(",", ":"))
+    return _DETAIL_ENCODER.encode(detail)
 
 
 @dataclass(frozen=True)
@@ -291,6 +298,13 @@ def route(
         else:
             out.update(roles.get(role, ()))
     return sorted(out)
+
+
+def _drop_heads(itinerary: tuple[str, ...], location: str) -> tuple[str, ...]:
+    """The itinerary without the leading stops at ``location``."""
+    while itinerary and itinerary[0] == location:
+        itinerary = itinerary[1:]
+    return itinerary
 
 
 def _pair(a: str, b: str) -> tuple[str, str]:
@@ -516,7 +530,7 @@ class World:
             location=home,
             product_id=product_id,
             memory=dict(memory or {}),
-            itinerary=itinerary,
+            itinerary=_drop_heads(itinerary, home),
         )
         if role is AgentRole.PRODUCT:
             bound = self._by_product.get(product_id)
@@ -683,7 +697,9 @@ def _complete_due_migrations(world: World) -> None:
         # Held in flight while the pair is severed; lands once it heals.
         if world.severed(transfer.source, transfer.target):
             continue
-        agent = replace(world.agents[transfer.agent_id], location=transfer.target)
+        agent = world.agents[transfer.agent_id]
+        agent = replace(agent, location=transfer.target,
+                        itinerary=_drop_heads(agent.itinerary, transfer.target))
         world.agents[transfer.agent_id] = agent
         world._settle(agent)
         del world.in_flight[transfer.agent_id]
@@ -959,15 +975,6 @@ def _insert_record(world: World, agent: AgentState, record: KnowledgeRecord) -> 
 def _plan_itineraries(world: World) -> None:
     for agent_id in sorted(world._travellers):
         agent = world.agents[agent_id]
-        itinerary = agent.itinerary
-        while itinerary and itinerary[0] == agent.location:
-            itinerary = itinerary[1:]
-        if itinerary != agent.itinerary:
-            agent = replace(agent, itinerary=itinerary)
-            world.agents[agent_id] = agent
-        if not itinerary:
-            world._travellers.discard(agent_id)
-            continue
         effect = plan_migration(agent, world.nodes.keys())
         if effect is not None:
             try:

@@ -215,6 +215,8 @@ def test_no_single_leaf_mutation_exits_2(fixtures_dir, tmp_path, capsys):
 EVENT = ('{{"tick":{},"event_kind":"{}","node":"","agent":"","msg_id":"",'
          '"detail":{}}}\n')
 STARTED = EVENT.format(0, "run_started", '"{}"')
+# Nesting deep enough that json.loads raises RecursionError.
+DEEP = "[" * 100_000 + "]" * 100_000
 
 # Each case: the command, the file it reads, and the part of the error
 # message that says what is wrong with it.
@@ -224,10 +226,17 @@ BAD_INPUTS = {
     "report: a line is a list": ("report", STARTED + "[]\n", ":2: not a log event"),
     "report: a record detail lacks mode": (
         "report", STARTED + EVENT.format(3, "knowledge_inserted", '"{}"'), "not a run log"),
+    "report: a line nests too deeply": ("report", STARTED + DEEP + "\n",
+                                        ":2: not a log event (a log line nests too deeply"),
+    "report: a detail nests too deeply": (
+        "report", STARTED + EVENT.format(1, "x", json.dumps(DEEP)),
+        ":2: not a log event (detail nests too deeply"),
     "report: not UTF-8": ("report", b"\xff\xfe", "can't decode"),
     "validate: not UTF-8": ("validate", b"\xff\xfe", "can't decode"),
+    "validate: nests too deeply": ("validate", DEEP, "nests too deeply"),
     "run: not UTF-8": ("run", b"\xff\xfe", "can't decode"),
     "compare: not UTF-8": ("compare", b"\xff\xfe", "can't decode"),
+    "compare: nests too deeply": ("compare", DEEP, "nests too deeply"),
 }
 
 

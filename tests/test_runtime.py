@@ -7,8 +7,15 @@ import pytest
 from ploop import runtime
 from ploop.agents import AgentRole
 from ploop.harness import compute_report
-from ploop.identity import SensorEvent, mint_product_id
-from ploop.knowledge import DesignTrigger, tacit_record
+from ploop.identity import ProductID, SensorEvent, mint_product_id
+from ploop.knowledge import (
+    Activity,
+    DesignTrigger,
+    KnowledgeRecord,
+    KnowledgeSource,
+    classify_activity,
+    tacit_record,
+)
 from ploop.lifecycle import LifecyclePhase
 from ploop.messages import CustomerFeedback, FaultReported, SensorBatch, ServiceOrder
 from ploop.runtime import (
@@ -369,6 +376,10 @@ class TestMigration:
                 if agent.role is AgentRole.PRODUCT}
             assert world._travellers == {aid for aid in residents
                                          if world.agents[aid].itinerary}
+            # Heads are dropped where a location is set, at spawn and arrival.
+            for aid in residents:
+                agent = world.agents[aid]
+                assert agent.itinerary[:1] != (agent.location,)
             for a in names:
                 for b in names:
                     assert world.severed(a, b) == any(
@@ -402,6 +413,15 @@ class TestMigration:
         assert "ap-02" not in world.agents
         world.spawn_agent(AgentRole.PRODUCT, "n1", product_id=PID2, agent_id="ap-02")
         world.spawn_agent(AgentRole.SERVICE, "n1", product_id=PID, agent_id="as-02")
+
+    def test_spawn_drops_itinerary_heads_at_home(self):
+        world = self.build()
+        world.spawn_agent(AgentRole.IMPACT, "n1", agent_id="i-01",
+                          itinerary=("n1", "n1", "n2"))
+        world.spawn_agent(AgentRole.IMPACT, "n1", agent_id="i-02", itinerary=("n1",))
+        assert world.agents["i-01"].itinerary == ("n2",)
+        assert world.agents["i-02"].itinerary == ()
+        assert world._travellers == {"i-01"}
 
     def test_resident_directory_is_a_copy(self):
         world = World()
@@ -675,3 +695,94 @@ class TestWorldRules:
         bare = LoggedEvent(3, "x")
         assert bare.to_json_line().endswith('"detail":""}')
         assert LoggedEvent.from_json_line(bare.to_json_line()) == bare
+
+
+# -- line encoders against json.dumps -----------------------------------------
+
+# Characters that need care in a JSON string: quotes, backslashes, every
+# control character, non-ASCII and astral characters, and lone surrogates.
+AWKWARD = ('"', "\\", "/", "\x7f", "\xe9", "\u4e2d", "\u2028", "\U0001f600",
+           "\ud800", "\udfff", *map(chr, range(32)))
+SCALARS = (None, True, False, 0, -1, 2**63, -(10**30), 0.5, -0.0, 1e16, 5e-324)
+
+
+def awkward_text(rng, alphabet=AWKWARD + tuple(string.printable)):
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        char = rng.choice(alphabet)
+        # A high then a low surrogate would decode as one astral character.
+        if out and out[-1] == "\ud800" and char == "\udfff":
+            continue
+        out.append(char)
+    return "".join(out)
+
+
+def awkward_value(rng, depth):
+    pick = rng.random()
+    if depth < 3 and pick < 0.2:
+        return [awkward_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    if depth < 3 and pick < 0.4:
+        return awkward_detail(rng, depth + 1)
+    if pick < 0.6:
+        return awkward_text(rng)
+    if pick < 0.7:
+        return rng.randint(-(10**20), 10**20)
+    if pick < 0.8:
+        return rng.uniform(-1e6, 1e6)
+    return rng.choice(SCALARS)
+
+
+def awkward_detail(rng, depth=0):
+    return {awkward_text(rng): awkward_value(rng, depth) for _ in range(rng.randint(0, 4))}
+
+
+# json.dumps is the reference: the one-pass lines must match it byte for byte.
+def reference_event_line(event):
+    detail = (json.dumps(event.detail, sort_keys=True, separators=(",", ":"))
+              if event.detail else "")
+    return json.dumps({"tick": event.tick, "event_kind": event.event_kind,
+                       "node": event.node, "agent": event.agent,
+                       "msg_id": event.msg_id, "detail": detail},
+                      separators=(",", ":"))
+
+
+def reference_record_line(record):
+    return json.dumps({"record_id": record.record_id, "product_id": record.family,
+                       "generation": record.generation,
+                       "activity": record.activity.value, "mode": record.mode.value,
+                       "source": record.source.value, "payload": record.payload,
+                       "created_at": record.created_at},
+                      separators=(",", ":"))
+
+
+def test_event_line_matches_reference_and_round_trips():
+    rng = random.Random(1729)
+    for _ in range(3000):
+        event = LoggedEvent(rng.choice((0, 1, rng.randint(-(10**20), 10**20))),
+                            awkward_text(rng), awkward_text(rng), awkward_text(rng),
+                            awkward_text(rng), awkward_detail(rng))
+        line = event.to_json_line()
+        assert line == reference_event_line(event)
+        decoded = LoggedEvent.from_json_line(line)
+        assert decoded == event
+        assert decoded.to_json_line() == line
+
+
+def test_record_line_matches_reference_and_round_trips():
+    rng = random.Random(1730)
+    no_at = tuple(c for c in AWKWARD + tuple(string.printable) if c != "@")
+    for _ in range(3000):
+        activity = rng.choice(list(Activity))
+        record = KnowledgeRecord(
+            record_id=awkward_text(rng),
+            product_id=ProductID("s" + awkward_text(rng, no_at), "u" + awkward_text(rng, no_at)),
+            generation=rng.randint(1, 10**20),
+            activity=activity,
+            mode=rng.choice(sorted(classify_activity(activity))),
+            source=rng.choice(list(KnowledgeSource)),
+            payload=awkward_text(rng),
+            created_at=rng.randint(0, 10**20),
+        )
+        line = record.to_json_line()
+        assert line == reference_record_line(record)
+        assert KnowledgeRecord.from_json_line(line) == record
