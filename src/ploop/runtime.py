@@ -45,9 +45,11 @@ Fail-closed faults: partitioned migrations are refused at send time and
 logged; partitioned deliveries are dropped and logged; no message or agent
 ever crosses a severed pair.
 
-Every log site passes its detail as a dict; ``LoggedEvent`` owns the line
-format, encoding it in one pass only when a line is written and decoding
-it only when a saved log is read back.
+Every log site passes its detail as a dict; ``LoggedEvent``, a
+NamedTuple, owns the line format. It encodes a line in one pass, through
+one C encoder built at import, only when the line is written, and decodes
+it only when a saved log is read back, calling json's C scanner once for
+the line and once for its detail text.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Collection, Iterable, Mapping
+from types import MappingProxyType
+from typing import Any, Collection, Iterable, Mapping, NamedTuple
 
 from .agents import (
     AgentRole,
@@ -163,16 +167,31 @@ EVT_PEID_REFUSED = "peid_refused"
 # What json.dumps writes for an int; _quote is what it writes for a str.
 _int = int.__repr__
 _DETAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_scan = json.JSONDecoder().scan_once
 
 
-@dataclass(frozen=True, slots=True)
-class LoggedEvent:
+def _loads(text: str) -> Any:
+    """``json.loads(text)``, with the C scanner called directly when the
+    value spans the whole text: the same value, or the same exception.
+    With fewer Python frames on the stack it can nest a level or two
+    deeper before ``RecursionError``."""
+    try:
+        value, end = _scan(text, 0)
+    except StopIteration:
+        return json.loads(text)
+    return value if end == len(text) else json.loads(text)
+
+
+class LoggedEvent(NamedTuple):
     """One line of the run log, and the one owner of its format.
 
-    ``detail`` is a plain dict in memory. ``to_json_line`` is the only
-    encoder: six fixed fields in a fixed order, with the detail written as
-    key-sorted compact JSON text (``""`` when empty). ``from_json_line`` is
-    the only decoder, and it refuses a field of the wrong JSON type.
+    A NamedTuple, so building one costs a tuple. ``detail`` is a plain dict
+    in memory (an empty read-only mapping by default). ``to_json_line`` is
+    the only encoder: six fixed fields in a fixed order, with the detail
+    written as key-sorted compact JSON text (``""`` when empty).
+    ``from_json_line`` is the only decoder: the C scanner reads the line and
+    then the detail text once each, and a field of the wrong JSON type is
+    refused.
     """
 
     tick: int
@@ -180,7 +199,7 @@ class LoggedEvent:
     node: str = ""
     agent: str = ""
     msg_id: str = ""
-    detail: dict[str, Any] = field(default_factory=dict)
+    detail: Mapping[str, Any] = MappingProxyType({})
 
     def to_json_line(self) -> str:
         detail = detail_str(self.detail) if self.detail else ""
@@ -191,7 +210,7 @@ class LoggedEvent:
     @classmethod
     def from_json_line(cls, line: str) -> "LoggedEvent":
         try:
-            raw = json.loads(line)
+            raw = _loads(line)
         except RecursionError:
             raise ValueError("a log line nests too deeply to decode") from None
         if type(raw) is not dict:
@@ -202,7 +221,7 @@ class LoggedEvent:
             if type(raw.get(key)) is not str:
                 raise ValueError(f"{key} must be a string, got {type(raw.get(key)).__name__}")
         try:
-            detail = json.loads(raw["detail"]) if raw["detail"] else {}
+            detail = _loads(raw["detail"]) if raw["detail"] else {}
         except RecursionError:
             raise ValueError("detail nests too deeply to decode") from None
         if type(detail) is not dict:
@@ -211,9 +230,19 @@ class LoggedEvent:
                    raw["msg_id"], detail)
 
 
-def detail_str(detail: Mapping[str, Any]) -> str:
-    """Compact, key-sorted JSON: the detail field as a log line writes it."""
-    return _DETAIL_ENCODER.encode(detail)
+if c_make_encoder is None:
+    def detail_str(detail: Mapping[str, Any]) -> str:
+        """Compact, key-sorted JSON: the detail field as a log line writes it."""
+        return _DETAIL_ENCODER.encode(detail)
+else:
+    # No markers dict: nothing outlives a failed encode; a cyclic detail
+    # (never built, details are literals) raises RecursionError.
+    _encode_detail = c_make_encoder(None, _DETAIL_ENCODER.default, _quote, None,
+                                    ":", ",", True, False, True)
+
+    def detail_str(detail: Mapping[str, Any]) -> str:
+        """Compact, key-sorted JSON: the detail field as a log line writes it."""
+        return "".join(_encode_detail(detail, 0))
 
 
 @dataclass(frozen=True)

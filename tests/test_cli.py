@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -375,7 +374,7 @@ def test_report_mistyped_log_field_exits_1_naming_it(case, fixtures_dir, tmp_pat
         lines[at] = json.dumps(raw, separators=(",", ":"))
         where = f":{at + 1}: not a log event"
     else:
-        lines[at] = replace(events[at], detail={**events[at].detail, key: value}).to_json_line()
+        lines[at] = events[at]._replace(detail={**events[at].detail, key: value}).to_json_line()
         where = ": not a run log"
     path = tmp_path / "bad.events.jsonl"
     path.write_text("\n".join(lines) + "\n")

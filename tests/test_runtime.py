@@ -1,12 +1,16 @@
 import json
+import os
 import random
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ploop import runtime
 from ploop.agents import AgentRole
-from ploop.harness import compute_report
+from ploop.harness import compute_report, load_scenario, run
 from ploop.identity import ProductID, SensorEvent, mint_product_id
 from ploop.knowledge import (
     Activity,
@@ -786,3 +790,93 @@ def test_record_line_matches_reference_and_round_trips():
         line = record.to_json_line()
         assert line == reference_record_line(record)
         assert KnowledgeRecord.from_json_line(line) == record
+
+
+# -- the log codec against json's own entry points ----------------------------
+
+GOLDEN = sorted((Path(__file__).resolve().parent / "golden").glob("*.scn"))
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def golden_lines():
+    return [line for scn in GOLDEN for line in run(load_scenario(scn)).log_lines]
+
+
+def assert_loads_like_json(text):
+    """runtime._loads gives json.loads's value, or its exception and message."""
+    try:
+        expected = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            runtime._loads(text)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+    else:
+        value = runtime._loads(text)
+        # repr tells NaN, -0.0 and 1 from True where == would not.
+        assert type(value) is type(expected) and repr(value) == repr(expected)
+
+
+def test_loads_matches_json_loads():
+    rng = random.Random(2718)
+    texts = ["", " ", "\t\n ", " {}", "{} ", "\t[1]\n", "\n\"s\"\t", "\ufeff{}",
+             "{}{}", '{"a":1} x', "1", '"s"', "null", "NaN", "-Infinity",
+             '"\\x"', '"open', '{"a":', '"a\nb"', '"\x01"', "[" * 100_000]
+    for line in golden_lines():
+        detail = json.loads(line)["detail"]
+        texts += [line, detail]
+        cut = rng.randrange(len(line))
+        texts += [line[:cut], line[cut:], " " + line, line + "\n", line + line]
+    for text in texts:
+        assert_loads_like_json(text)
+
+
+def test_failed_detail_encode_leaves_nothing_behind():
+    reference = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    for n in range(3):
+        inner = {"bad": object()}
+        detail = {"n": n, "items": [inner]}
+        with pytest.raises(TypeError):
+            runtime.detail_str(detail)
+        # The very containers that were mid-encode, now valid: an encoder
+        # that kept them marked would call them circular.
+        inner["bad"] = n
+        assert runtime.detail_str(detail) == reference(detail)
+        event = LoggedEvent(n, "x", detail=detail)
+        assert event.to_json_line() == reference_event_line(event)
+    cyclic = {"k": 1}
+    cyclic["self"] = cyclic
+    with pytest.raises((RecursionError, ValueError)):
+        LoggedEvent(1, "x", detail=cyclic).to_json_line()
+
+
+def test_bare_event_detail_is_read_only_and_round_trips():
+    bare, other = LoggedEvent(3, "x"), LoggedEvent(4, "y")
+    with pytest.raises(TypeError):
+        bare.detail["k"] = 1
+    with pytest.raises(AttributeError):
+        bare.tick = 5
+    assert not isinstance(bare.detail, dict) and not other.detail
+    decoded = LoggedEvent.from_json_line(bare.to_json_line())
+    assert decoded == bare
+    assert type(decoded.detail) is dict and decoded.detail == {}
+
+
+def test_codec_without_the_json_accelerator_writes_the_same_lines():
+    """Without json's C accelerator both halves of the codec fall back to
+    its pure-Python code: the same lines, decoded and written again."""
+    rng = random.Random(1731)
+    lines = golden_lines() + [
+        LoggedEvent(rng.randint(0, 99), awkward_text(rng), detail=awkward_detail(rng))
+        .to_json_line() for _ in range(500)]
+    script = ("import json.encoder, json.scanner, sys\n"
+              "json.encoder.c_make_encoder = None\n"
+              "json.scanner.make_scanner = json.scanner.py_make_scanner\n"
+              "from ploop.runtime import LoggedEvent\n"
+              "for line in sys.stdin.read().splitlines():\n"
+              "    print(LoggedEvent.from_json_line(line).to_json_line())\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script], input="\n".join(lines),
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == lines
