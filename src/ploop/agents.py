@@ -3,8 +3,9 @@
 Agents are deterministic rule tables: ``handle`` maps (state, message,
 tick) to a list of effects and mutates nothing itself. The runtime owns
 all side effects; an agent's knowledge emissions, sends and memory
-writes only happen when the runtime applies the returned effects, and it
-migrates an agent along its itinerary through ``plan_migration``.
+writes only happen when the runtime applies the returned effects. An
+agent's itinerary is data too: each tick the runtime migrates a resident
+agent with stops left to ``plan_migration``'s answer, the itinerary head.
 
 Role summary:
   AgentProduct   shadows one physical product (same id); turns sensor
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Collection, Mapping, Union
+from typing import Any, Mapping, Union
 
 from .identity import ProductID
 from .knowledge import KnowledgeRecord, explicit_record, tacit_record
@@ -50,7 +51,7 @@ class UnhandledMessage(AgentError):
 
 
 class UnknownNode(AgentError):
-    """Itinerary head is not a registered node."""
+    """A node id is not registered."""
 
 
 class AgentRole(str, Enum):
@@ -103,11 +104,6 @@ class EmitKnowledge:
     forwarded as a routed knowledge.record message otherwise."""
 
     record: KnowledgeRecord
-
-
-@dataclass(frozen=True)
-class RequestMigration:
-    target: str
 
 
 @dataclass(frozen=True)
@@ -204,20 +200,15 @@ def handle(agent: AgentState, message: Message, tick: int) -> list[Effect]:
     return _HANDLERS[agent.role](agent, message, tick)
 
 
-def plan_migration(agent: AgentState, directory: Collection[str]) -> RequestMigration | None:
-    """Next hop from the itinerary, or None when there is nowhere to go.
+def plan_migration(agent: AgentState) -> str:
+    """The node the agent migrates to next: the head of its itinerary.
 
-    The head must be a registered node; the runtime drops it when the
-    agent lands there.
+    Precondition: the agent is resident and its itinerary is not empty.
+    The runtime keeps the rest true: every stop was a registered node at
+    spawn, and the stops at the agent's location were dropped when it
+    spawned or landed, so the head is never where the agent stands.
     """
-    if not agent.itinerary:
-        return None
-    head = agent.itinerary[0]
-    if head not in directory:
-        raise UnknownNode(f"itinerary head {head!r} is not registered")
-    if head == agent.location:
-        return None
-    return RequestMigration(head)
+    return agent.itinerary[0]
 
 
 def apply_memory(agent: AgentState, key: str, value: Any) -> AgentState:

@@ -25,7 +25,6 @@ from .harness import (
     compute_report,
     load_json,
     load_scenario,
-    read_text,
     run,
 )
 from .runtime import LoggedEvent
@@ -68,15 +67,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _log_events(path: str) -> Iterator[LoggedEvent]:
-    """Each non-blank line of a saved log, decoded once."""
-    for number, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            event = LoggedEvent.from_json_line(line)
-        except ValueError as exc:
-            raise ScenarioParseError(f"{path}:{number}: not a log event ({exc})") from None
-        yield event
+    """Each non-blank line of a saved log, read and decoded one at a time;
+    an unreadable or non-UTF-8 file is a parse error."""
+    try:
+        with open(path, encoding="utf-8") as lines:
+            for number, line in enumerate(lines, 1):
+                if not line.strip():
+                    continue
+                try:
+                    event = LoggedEvent.from_json_line(line.rstrip("\n"))
+                except ValueError as exc:
+                    raise ScenarioParseError(
+                        f"{path}:{number}: not a log event ({exc})") from None
+                yield event
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioParseError(f"{path}: {exc}") from None
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -30,7 +30,7 @@ from .identity import (
     mint_product_id,
 )
 from .knowledge import TACIT_CATEGORIES
-from .lifecycle import ComponentCondition, EOLPolicy, LifecyclePhase
+from .lifecycle import ComponentCondition, EOLPolicy, LifecycleEvent, LifecyclePhase
 from .messages import (
     KEY_CUSTOMER_FEEDBACK,
     KEY_FAULT_REPORTED,
@@ -49,7 +49,6 @@ from .runtime import (
     EVT_RUN_FINISHED,
     EVT_RUN_STARTED,
     Action,
-    ActionKind,
     AgentRole,
     InvalidRoutingTable,
     LatencyMap,
@@ -522,18 +521,13 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     }
 
 
-def read_text(path: Path | str) -> str:
-    """The UTF-8 text of a file; an unreadable or non-UTF-8 file is a parse error."""
+def load_json(path: Path | str) -> Any:
+    """The JSON document in a file, with the line and column of a syntax error;
+    an unreadable or non-UTF-8 file is a parse error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"{path}: {exc}") from None
-
-
-def load_json(path: Path | str) -> Any:
-    """The JSON document in a file, with the line and column of a syntax error."""
-    try:
-        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except RecursionError:
@@ -592,7 +586,7 @@ def build_world(scenario: Scenario, seed_override: int | None = None) -> World:
     for stim in scenario.stimuli:
         product = world.products[stim.product]
         if stim.kind == "retirement":
-            world.schedule_action(stim.tick, Action(ActionKind.RETIREMENT, product.key))
+            world.schedule_action(stim.tick, Action(LifecycleEvent.RETIREMENT_REQUESTED, product.key))
             continue
         if stim.kind == "sensor_batch":
             payload = SensorBatch(

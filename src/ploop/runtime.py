@@ -9,8 +9,8 @@ pairs replay byte-identical logs:
   2. due migrations complete (ordered by arrival tick, then agent id);
      an arrival across a currently severed pair is held in flight until
      the pair heals
-  3. due scheduled actions run (retirement, disposition, generation
-     pipeline steps), in scheduling order
+  3. due lifecycle events run (retirement, disposition, design and
+     manufacture of the next generation), in scheduling order
   4. due messages deliver, ordered by (deliver_at, msg_id): world rules
      for the payload kind apply first, then routing resolves recipients
      and each recipient handles the message, its effects applied in list
@@ -89,6 +89,7 @@ from .identity import (
 from .knowledge import DesignTrigger, DuplicateRecord, KnowledgeRecord, KnowledgeRepository
 from .lifecycle import (
     ComponentCondition,
+    EmptyConditions,
     EOLPolicy,
     IllegalTransition,
     LifecycleEvent,
@@ -417,16 +418,11 @@ class Transfer:
     arrive_at: int
 
 
-class ActionKind(str, Enum):
-    RETIREMENT = "retirement"
-    DISPOSITION = "disposition"
-    DESIGN_COMPLETE = "design_complete"
-    MANUFACTURE_COMPLETE = "manufacture_complete"
-
-
 @dataclass(frozen=True)
 class Action:
-    kind: ActionKind
+    """A lifecycle event the engine applies to one product at a set tick."""
+
+    event: LifecycleEvent
     product_key: str
 
 
@@ -445,7 +441,6 @@ class World:
         self.routing = routing
         self.latency = latency
         self.params = params
-        self.partitions = partitions
         # Windows by sorted node pair, so severed() reads only that pair's.
         self._windows: dict[tuple[str, str], list[PartitionWindow]] = {}
         for window in partitions:
@@ -617,7 +612,7 @@ class World:
     def schedule_action(self, tick: int, action: Action) -> None:
         if tick <= self.clock:
             raise SimulationError(
-                f"action {action.kind.value} scheduled at tick {tick} "
+                f"action {action.event.value} scheduled at tick {tick} "
                 f"not after clock {self.clock}"
             )
         self._action_seq += 1
@@ -744,24 +739,28 @@ def _run_due_actions(world: World) -> None:
     while world._actions and world._actions[0][0] <= world.clock:
         tick_due, _, action = heapq.heappop(world._actions)
         if tick_due < world.clock:
-            raise SimulationError(f"missed action {action.kind.value} at {tick_due}")
+            raise SimulationError(f"missed action {action.event.value} at {tick_due}")
         _apply_action(world, action)
+
+
+def _refuse(world: World, product: ProductState, event: LifecycleEvent, phase: str) -> None:
+    world.log(
+        EVT_LIFECYCLE_REFUSED,
+        node=product.node or "",
+        detail={
+            "family": product.family,
+            "generation": product.generation,
+            "event": event.value,
+            "phase": phase,
+        },
+    )
 
 
 def _advance_product(world: World, product: ProductState, event: LifecycleEvent) -> bool:
     try:
         new_phase = advance(product.phase, event)
     except IllegalTransition:
-        world.log(
-            EVT_LIFECYCLE_REFUSED,
-            node=product.node or "",
-            detail={
-                "family": product.family,
-                "generation": product.generation,
-                "event": event.value,
-                "phase": product.phase.value,
-            },
-        )
+        _refuse(world, product, event, product.phase.value)
         return False
     world.log(
         EVT_LIFECYCLE_ADVANCED,
@@ -780,29 +779,14 @@ def _advance_product(world: World, product: ProductState, event: LifecycleEvent)
 
 def _apply_action(world: World, action: Action) -> None:
     product = world.products[action.product_key]
-    if action.kind is ActionKind.RETIREMENT:
-        if _advance_product(world, product, LifecycleEvent.RETIREMENT_REQUESTED):
-            world.schedule_action(
-                world.clock + world.params.disposal_ticks,
-                Action(ActionKind.DISPOSITION, product.key),
-            )
-        if not world.params.trigger_rule_enabled:
-            # Baseline: the next generation starts at scheduled retirement.
-            _start_generation(world, product.family, product.generation + 1)
-    elif action.kind is ActionKind.DISPOSITION:
-        if not product.components:
-            world.log(
-                EVT_LIFECYCLE_REFUSED,
-                node=product.node or "",
-                detail={
-                    "family": product.family,
-                    "generation": product.generation,
-                    "event": LifecycleEvent.DISPOSITION_EXECUTED.value,
-                    "phase": "no-components",
-                },
-            )
+    event = action.event
+    params = world.params
+    if event is LifecycleEvent.DISPOSITION_EXECUTED:
+        try:
+            decision = decide_eol(product.components, params.eol_policy)
+        except EmptyConditions:
+            _refuse(world, product, event, "no-components")
             return
-        decision = decide_eol(product.components, world.params.eol_policy)
         world.log(
             EVT_EOL_DECISION,
             node=product.node or "",
@@ -812,19 +796,21 @@ def _apply_action(world: World, action: Action) -> None:
                 "decision": decision.value,
             },
         )
-        _advance_product(world, product, LifecycleEvent.DISPOSITION_EXECUTED)
-    elif action.kind is ActionKind.DESIGN_COMPLETE:
-        if _advance_product(world, product, LifecycleEvent.DESIGN_COMPLETE):
-            world.schedule_action(
-                world.clock + world.params.manufacture_ticks,
-                Action(ActionKind.MANUFACTURE_COMPLETE, product.key),
-            )
-    elif action.kind is ActionKind.MANUFACTURE_COMPLETE:
-        if _advance_product(world, product, LifecycleEvent.MANUFACTURED):
+    if _advance_product(world, product, event):
+        if event is LifecycleEvent.RETIREMENT_REQUESTED:
+            world.schedule_action(world.clock + params.disposal_ticks,
+                                  Action(LifecycleEvent.DISPOSITION_EXECUTED, product.key))
+        elif event is LifecycleEvent.DESIGN_COMPLETE:
+            world.schedule_action(world.clock + params.manufacture_ticks,
+                                  Action(LifecycleEvent.MANUFACTURED, product.key))
+        elif event is LifecycleEvent.MANUFACTURED:
             world.log(
                 EVT_GENERATION_LAUNCHED,
                 detail={"family": product.family, "generation": product.generation},
             )
+    if event is LifecycleEvent.RETIREMENT_REQUESTED and not params.trigger_rule_enabled:
+        # Baseline: the next generation starts at scheduled retirement.
+        _start_generation(world, product.family, product.generation + 1)
 
 
 def _start_generation(world: World, family: str, next_generation: int) -> None:
@@ -850,7 +836,7 @@ def _start_generation(world: World, family: str, next_generation: int) -> None:
     )
     world.schedule_action(
         world.clock + world.params.design_ticks,
-        Action(ActionKind.DESIGN_COMPLETE, next_id.render()),
+        Action(LifecycleEvent.DESIGN_COMPLETE, next_id.render()),
     )
 
 
@@ -862,10 +848,23 @@ def _deliver_due_messages(world: World) -> None:
         _process_delivery(world, message)
 
 
+# The lifecycle step a payload's arrival applies to its product; a service
+# order reaching the garage-side handler completes the repair.
+_PAYLOAD_EVENTS = {
+    FaultReported: LifecycleEvent.FAULT_REPORTED,
+    ServiceOrder: LifecycleEvent.REPAIRED,
+}
+
+
 def _world_rules(world: World, message: Message) -> None:
     """Engine-level consequences of a payload arriving, before routing."""
     payload = message.payload
-    if isinstance(payload, SensorBatch):
+    event = _PAYLOAD_EVENTS.get(type(payload))
+    if event is not None:
+        product = world.products.get(payload.product_id.render())
+        if product is not None:
+            _advance_product(world, product, event)
+    elif isinstance(payload, SensorBatch):
         product = world.products.get(payload.product_id.render())
         if product is not None:
             try:
@@ -880,15 +879,6 @@ def _world_rules(world: World, message: Message) -> None:
                     msg_id=message.msg_id,
                     detail={"family": product.family, "reason": str(exc)},
                 )
-    elif isinstance(payload, FaultReported):
-        product = world.products.get(payload.product_id.render())
-        if product is not None:
-            _advance_product(world, product, LifecycleEvent.FAULT_REPORTED)
-    elif isinstance(payload, ServiceOrder):
-        # Order reaching the garage-side handler completes the repair.
-        product = world.products.get(payload.product_id.render())
-        if product is not None:
-            _advance_product(world, product, LifecycleEvent.REPAIRED)
     elif isinstance(payload, DesignTrigger):
         world.log(
             EVT_DESIGN_TRIGGER,
@@ -1004,14 +994,13 @@ def _insert_record(world: World, agent: AgentState, record: KnowledgeRecord) -> 
 def _plan_itineraries(world: World) -> None:
     for agent_id in sorted(world._travellers):
         agent = world.agents[agent_id]
-        effect = plan_migration(agent, world.nodes.keys())
-        if effect is not None:
-            try:
-                migrate(world, agent_id, effect.target)
-            except Partitioned:
-                world.log(
-                    EVT_MIGRATION_REFUSED,
-                    node=agent.location,
-                    agent=agent_id,
-                    detail={"target": effect.target, "reason": "partitioned"},
-                )
+        target = plan_migration(agent)
+        try:
+            migrate(world, agent_id, target)
+        except Partitioned:
+            world.log(
+                EVT_MIGRATION_REFUSED,
+                node=agent.location,
+                agent=agent_id,
+                detail={"target": target, "reason": "partitioned"},
+            )

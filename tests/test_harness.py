@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from collections import Counter
 from pathlib import Path
@@ -100,6 +101,20 @@ class TestLoadScenario:
         save_scenario(scenario, copy)
         assert copy.read_bytes() == source.read_bytes()
         assert scenario_to_dict(load_scenario(copy)) == scenario_to_dict(scenario)
+
+    def test_fixture_generator_writes_the_committed_fixtures(self, fixtures_dir, tmp_path,
+                                                              monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "make_fixtures", ROOT / "tools" / "make_fixtures.py")
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        monkeypatch.setattr(generator, "FIXTURES", tmp_path)
+        generator.main()
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(path.name for path in fixtures_dir.glob("*.scn"))
+        assert len(written) == 5
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name
 
 
 class TestRun:

@@ -20,17 +20,20 @@ from ploop.knowledge import (
     classify_activity,
     tacit_record,
 )
-from ploop.lifecycle import LifecyclePhase
+from ploop.lifecycle import LifecycleEvent, LifecyclePhase
 from ploop.messages import CustomerFeedback, FaultReported, SensorBatch, ServiceOrder
 from ploop.runtime import (
     CATCH_ALL_TABLE,
     EVT_KNOWLEDGE_INSERTED,
+    EVT_LIFECYCLE_REFUSED,
     EVT_MESSAGE_BLOCKED,
     EVT_MESSAGE_DELIVERED,
     EVT_MESSAGE_DROPPED,
     EVT_MIGRATION_COMPLETED,
     EVT_MIGRATION_REFUSED,
     EVT_PEID_REFUSED,
+    EVT_UNHANDLED_MESSAGE,
+    Action,
     AgentInFlight,
     InvalidRoutingTable,
     LatencyMap,
@@ -427,6 +430,19 @@ class TestMigration:
         assert world.agents["i-02"].itinerary == ()
         assert world._travellers == {"i-01"}
 
+    def test_unregistered_itinerary_stop_spawns_nothing(self):
+        world = self.build()
+        logged = len(world.events)
+        with pytest.raises(UnknownNode, match="'n99'"):
+            world.spawn_agent(AgentRole.IMPACT, "n1", agent_id="i-01",
+                              itinerary=("n2", "n99"))
+        assert "i-01" not in world.agents
+        assert world.resident_directory() == {"a-01": AgentRole.SERVICE}
+        assert world._by_role[AgentRole.IMPACT] == set()
+        assert world.nodes["n1"].resident_agents == {"a-01"}
+        assert not world._travellers
+        assert len(world.events) == logged
+
     def test_resident_directory_is_a_copy(self):
         world = World()
         world.register_node(NodeKind.CUSTOMER_SITE, "n1")
@@ -441,10 +457,10 @@ def _plan_migration_calls(monkeypatch, parked):
     calls = 0
     plan = runtime.plan_migration
 
-    def counted(agent, directory):
+    def counted(agent):
         nonlocal calls
         calls += 1
-        return plan(agent, directory)
+        return plan(agent)
 
     def unexpected(self):
         raise AssertionError("tick() rebuilt the resident directory")
@@ -624,6 +640,53 @@ class TestWorldRules:
         refused = [e for e in tick(world) if e.event_kind == EVT_PEID_REFUSED]
         assert [e.msg_id for e in refused] == ["m000002"]
         assert product.peid.event_log == ordered
+
+    def test_disposition_without_components_is_refused(self):
+        world = World()
+        world.register_node(NodeKind.RECYCLING_ENTERPRISE, "rec")
+        product = world.register_product(PID, 1, LifecyclePhase.EOL_USE, node="rec")
+        world.schedule_action(1, Action(LifecycleEvent.RETIREMENT_REQUESTED, product.key))
+        tick(world)
+        assert product.phase is LifecyclePhase.EOL_RECOVERY
+        refused = {"family": product.family, "generation": 1,
+                   "event": "DispositionExecuted", "phase": "no-components"}
+        assert [(e.event_kind, e.node, e.detail) for e in tick(world)] == [
+            (EVT_LIFECYCLE_REFUSED, "rec", refused)]
+        assert product.phase is LifecyclePhase.EOL_RECOVERY
+
+    def test_refused_step_schedules_nothing(self):
+        world = World()
+        world.register_node(NodeKind.MANUFACTURER, "mfg")
+        product = world.register_product(PID, 1, LifecyclePhase.MOL_DISTRIBUTION, node="mfg")
+        steps = (LifecycleEvent.RETIREMENT_REQUESTED, LifecycleEvent.DESIGN_COMPLETE,
+                 LifecycleEvent.MANUFACTURED)
+        for step in steps:
+            world.schedule_action(1, Action(step, product.key))
+        events = [e for _ in range(10) for e in tick(world)]
+        assert [(e.event_kind, e.detail["event"]) for e in events] == [
+            (EVT_LIFECYCLE_REFUSED, step.value) for step in steps]
+        assert product.phase is LifecyclePhase.MOL_DISTRIBUTION
+
+    def test_feedback_to_a_service_agent_is_unhandled(self):
+        world = World(routing=RoutingTable(rules=(
+            RoutingRule("feedback.customer", ("AgentService",)),
+            RoutingRule("*", ()),
+        )))
+        world.register_node(NodeKind.REPAIR_GARAGE, "garage")
+        world.spawn_agent(AgentRole.SERVICE, "garage", agent_id="as-01")
+        agent = world.agents["as-01"]
+        message = world.send("feedback.customer", CustomerFeedback(PID, 1, "x"),
+                             "garage", "garage", deliver_at=1)
+        events = tick(world)
+        assert [(e.event_kind, e.agent, e.msg_id) for e in events] == [
+            (EVT_MESSAGE_DELIVERED, "as-01", message.msg_id),
+            (EVT_UNHANDLED_MESSAGE, "as-01", message.msg_id),
+        ]
+        assert events[1].detail == {
+            "kind": "CustomerFeedback",
+            "reason": "AgentService has no rule for CustomerFeedback",
+        }
+        assert world.agents["as-01"] is agent
 
     def test_fault_reaches_every_resident_service(self):
         world = World(routing=RoutingTable(rules=(
