@@ -50,10 +50,6 @@ class UnhandledMessage(AgentError):
     """The role has no rule for this payload kind."""
 
 
-class UnknownNode(AgentError):
-    """A node id is not registered."""
-
-
 class AgentRole(str, Enum):
     PRODUCT = "AgentProduct"
     SERVICE = "AgentService"

@@ -2,16 +2,14 @@
 
 Subcommands: run, validate, report, compare. Exit codes: 0 on success,
 1 on validation or parse errors, 2 on internal invariant violations.
-The PLOOP_LOG_LEVEL environment variable (error, info, debug) controls
-diagnostic logging on stderr; the event log itself is always complete.
+Results go to stdout and to the files ``run`` writes; a failed command
+writes its message to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from dataclasses import asdict
 from typing import Iterator
@@ -29,30 +27,17 @@ from .harness import (
 )
 from .runtime import LoggedEvent
 
-logger = logging.getLogger(__name__)
-
-LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INTERNAL = 2
 
 
-def _configure_logging() -> None:
-    raw = os.environ.get("PLOOP_LOG_LEVEL", "error").lower()
-    if raw not in LOG_LEVELS:
-        raise ScenarioValidationError(
-            f"PLOOP_LOG_LEVEL must be one of {', '.join(sorted(LOG_LEVELS))}, got {raw!r}"
-        )
-    logging.basicConfig(level=LOG_LEVELS[raw], stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ScenarioValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     scenario = load_scenario(args.scenario)
     result = run(scenario, seed_override=args.seed, out_dir=args.out)
     sys.stdout.write(result.report.to_text())
-    logger.info("wrote run outputs for %s to %s", scenario.name, args.out)
     return EXIT_OK
 
 
@@ -147,7 +132,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _configure_logging()
         return args.func(args)
     except (ScenarioParseError, ScenarioValidationError, IncomparableRuns) as exc:
         sys.stderr.write(f"error: {exc}\n")

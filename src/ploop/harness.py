@@ -16,7 +16,6 @@ so comparing the two isolates the feedback loop as the only difference.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -60,10 +59,9 @@ from .runtime import (
     SimParams,
     World,
     detail_str,  # unused here; perfbench traces ploop.harness.detail_str by name
+    next_generation_id,
     tick,
 )
-
-logger = logging.getLogger(__name__)
 
 SCENARIO_FORMAT = 1
 
@@ -239,10 +237,12 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
     products: list[ProductDecl] = []
     product_ids: set[str] = set()
+    successors: dict[str, str] = {}   # next generation's id -> its parent product
     for raw in _entries(doc, "products"):
-        serial, uri = raw.get("serial"), raw.get("uri")
+        serial = _field(raw, "serial", "a string", what="product ")
+        uri = _field(raw, "uri", "a string", what=f"product {serial!r}: ")
         try:
-            mint_product_id(str(serial), str(uri))
+            product_id = mint_product_id(serial, uri)
         except ValueError as exc:
             raise ScenarioValidationError(f"product {serial!r}: {exc}") from None
         node = raw.get("node")
@@ -275,8 +275,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                                         f"product {serial!r} intelligence granularity"),
             )
         decl = ProductDecl(
-            serial=str(serial),
-            uri=str(uri),
+            serial=serial,
+            uri=uri,
             generation=generation,
             phase=_enum_value(LifecyclePhase, raw.get("phase"), f"product {serial!r} phase"),
             node=node,
@@ -288,6 +288,10 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         _require(decl.rendered_id not in product_ids, "duplicate product {!r}", decl.rendered_id)
         product_ids.add(decl.rendered_id)
         products.append(decl)
+        successors[next_generation_id(product_id, generation + 1).render()] = decl.rendered_id
+    for successor, parent in successors.items():
+        _require(successor not in product_ids, "product {!r} takes the id that the next "
+                 "generation of product {!r} starts under", successor, parent)
 
     agents: list[AgentDecl] = []
     agent_ids: set[str] = set()

@@ -6,12 +6,13 @@ design insights.
 Records are keyed to a product family (the rendered id of the original
 product) and a generation number so the repository can answer "how much
 have we learned about version N". The runtime reads that count after each
-insert to fire the next-generation design trigger.
+insert to fire the next-generation design trigger. The repository is
+written, never read back: ``save`` writes one JSON line per record, which
+``ploop run`` leaves beside the event log as ``<name>.repository.jsonl``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .identity import ProductID, parse_product_id
+from .identity import ProductID
 
 # What json.dumps writes for an int; _quote is what it writes for a str.
 _int = int.__repr__
@@ -124,20 +125,6 @@ class KnowledgeRecord:
                 f'"source":{_quote(self.source.value)},"payload":{_quote(self.payload)},'
                 f'"created_at":{_int(self.created_at)}}}')
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "KnowledgeRecord":
-        raw = json.loads(line)
-        return cls(
-            record_id=raw["record_id"],
-            product_id=parse_product_id(raw["product_id"]),
-            generation=raw["generation"],
-            activity=Activity(raw["activity"]),
-            mode=KnowledgeMode(raw["mode"]),
-            source=KnowledgeSource(raw["source"]),
-            payload=raw["payload"],
-            created_at=raw["created_at"],
-        )
-
 
 @dataclass(frozen=True)
 class DesignTrigger:
@@ -197,14 +184,6 @@ class KnowledgeRepository:
         with Path(path).open("w", encoding="utf-8") as out:
             for record in self._records:
                 out.write(record.to_json_line() + "\n")
-
-    @classmethod
-    def load(cls, path: Path | str) -> "KnowledgeRepository":
-        repo = cls()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                repo.insert(KnowledgeRecord.from_json_line(line))
-        return repo
 
 
 def tacit_record(
@@ -276,23 +255,4 @@ def aggregate(repo: KnowledgeRepository, family: str, generation: int) -> Design
         tacit_count=tacit,
         explicit_count=explicit,
         top_issues=tuple(word for word, _ in ranked),
-    )
-
-
-def save_insight(insight: DesignInsight, path: Path | str) -> None:
-    """Write an insight as a flat JSON summary file."""
-    Path(path).write_text(
-        json.dumps(
-            {
-                "family": insight.family,
-                "generation": insight.generation,
-                "record_count": insight.record_count,
-                "tacit_count": insight.tacit_count,
-                "explicit_count": insight.explicit_count,
-                "top_issues": list(insight.top_issues),
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
     )

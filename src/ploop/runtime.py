@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from json.encoder import c_make_encoder
@@ -71,7 +70,6 @@ from .agents import (
     EmitKnowledge,
     SendMessage,
     UnhandledMessage,
-    UnknownNode,
     UpdateMemory,
     apply_memory,
     handle,
@@ -110,8 +108,6 @@ from .messages import (
     payload_kind,
 )
 
-logger = logging.getLogger(__name__)
-
 
 class SimulationError(Exception):
     """Base class for runtime failures."""
@@ -119,6 +115,10 @@ class SimulationError(Exception):
 
 class UnknownAgent(SimulationError):
     """Agent id is not registered."""
+
+
+class UnknownNode(SimulationError):
+    """A node id is not registered."""
 
 
 class AgentInFlight(SimulationError):
@@ -468,7 +468,7 @@ class World:
         self._agent_seq = 0
         self._action_seq = 0
 
-    # -- logging ----------------------------------------------------------
+    # -- event log --------------------------------------------------------
 
     def log(self, event_kind: str, node: str = "", agent: str = "",
             msg_id: str = "", *, detail: dict[str, Any]) -> None:
@@ -813,16 +813,19 @@ def _apply_action(world: World, action: Action) -> None:
         _start_generation(world, product.family, product.generation + 1)
 
 
+def next_generation_id(parent: ProductID, generation: int) -> ProductID:
+    """The id of the product that generation ``generation`` of ``parent``'s
+    family is registered under when it starts."""
+    return ProductID(serial=f"{parent.serial}-g{generation}", uri=parent.uri)
+
+
 def _start_generation(world: World, family: str, next_generation: int) -> None:
     """Kick off the BOL pipeline for the next product generation, once."""
     if (family, next_generation) in world.started_generations:
         return
     parent = world.products[family]
     world.started_generations.add((family, next_generation))
-    next_id = ProductID(
-        serial=f"{parent.product_id.serial}-g{next_generation}",
-        uri=parent.product_id.uri,
-    )
+    next_id = next_generation_id(parent.product_id, next_generation)
     world.register_product(
         product_id=next_id,
         generation=next_generation,
@@ -968,7 +971,6 @@ def _insert_record(world: World, agent: AgentState, record: KnowledgeRecord) -> 
     try:
         world.repository.insert(record)
     except DuplicateRecord:
-        logger.debug("duplicate knowledge record dropped: %s", record.record_id)
         return
     world.log(
         EVT_KNOWLEDGE_INSERTED,

@@ -6,11 +6,6 @@ from ploop.cli import main
 from ploop.runtime import LoggedEvent
 
 
-@pytest.fixture(autouse=True)
-def quiet_log_level(monkeypatch):
-    monkeypatch.delenv("PLOOP_LOG_LEVEL", raising=False)
-
-
 def test_validate_ok(fixtures_dir, capsys):
     code = main(["validate", "--scenario", str(fixtures_dir / "closed_loop.scn")])
     assert code == 0
@@ -58,6 +53,14 @@ def test_run_with_seed_override(fixtures_dir, tmp_path):
     assert raw["seed"] == 123
 
 
+def test_negative_seed_exits_1_naming_it(fixtures_dir, tmp_path, capsys):
+    code = main(["run", "--scenario", str(fixtures_dir / "minimal.scn"),
+                 "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_report_recomputes_from_log(fixtures_dir, tmp_path, capsys):
     main(["run", "--scenario", str(fixtures_dir / "closed_loop.scn"),
           "--out", str(tmp_path)])
@@ -70,6 +73,40 @@ def test_report_recomputes_from_log(fixtures_dir, tmp_path, capsys):
     assert raw["launch_times"] == [
         {"family": "px-100@urn:mfg:acme", "generation": 2, "tick": 19}
     ]
+
+
+# Each case: an edit of closed_loop's saved log that ploop report must
+# read as the log the run wrote.
+LOG_EDITS = {
+    "as written": lambda lines: lines,
+    "blank line inside": lambda lines: lines[:5] + ["", "  "] + lines[5:],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOG_EDITS))
+def test_report_text_equals_run_report_txt(case, fixtures_dir, tmp_path, capsys):
+    main(["run", "--scenario", str(fixtures_dir / "closed_loop.scn"),
+          "--out", str(tmp_path)])
+    lines = (tmp_path / "closed_loop.events.jsonl").read_text().splitlines()
+    path = tmp_path / "edited.events.jsonl"
+    path.write_text("\n".join(LOG_EDITS[case](lines)) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--log", str(path)]) == 0
+    assert capsys.readouterr().out == (tmp_path / "closed_loop.report.txt").read_text()
+
+
+def test_compare_text_output(fixtures_dir, tmp_path, capsys):
+    for name in ("closed_loop", "baseline"):
+        main(["run", "--scenario", str(fixtures_dir / f"{name}.scn"), "--out", str(tmp_path)])
+    capsys.readouterr()
+    code = main(["compare", "--a", str(tmp_path / "closed_loop.report.json"),
+                 "--b", str(tmp_path / "baseline.report.json")])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "feedback launch tick   19\n"
+        "baseline launch tick   37\n"
+        "delta                  18 (improvement)\n"
+    )
 
 
 def test_compare_paired_reports(fixtures_dir, tmp_path, capsys):
@@ -102,19 +139,6 @@ def test_compare_incomparable_exits_1(fixtures_dir, tmp_path, capsys):
         "--b", str(tmp_path / "baseline.report.json"),
     ])
     assert code == 1
-
-
-def test_bad_log_level_exits_1(fixtures_dir, monkeypatch, capsys):
-    monkeypatch.setenv("PLOOP_LOG_LEVEL", "chatty")
-    code = main(["validate", "--scenario", str(fixtures_dir / "minimal.scn")])
-    assert code == 1
-    assert "PLOOP_LOG_LEVEL" in capsys.readouterr().err
-
-
-def test_log_level_values_accepted(fixtures_dir, monkeypatch):
-    for level in ("error", "info", "debug"):
-        monkeypatch.setenv("PLOOP_LOG_LEVEL", level)
-        assert main(["validate", "--scenario", str(fixtures_dir / "minimal.scn")]) == 0
 
 
 def _set(*path_and_value):
@@ -153,6 +177,11 @@ MISTYPED_FIELDS = {
                                     "recipients must be strings"),
     "routing recipient is a number": (_set("routing", 0, "recipients", 0, 7),
                                       "recipients must be strings"),
+    "routing pattern is empty": (_set("routing", 0, "pattern", ""), "routing: empty pattern"),
+    "serial is null": (_set("products", 0, "serial", None),
+                       "product serial must be a string, got NoneType"),
+    "uri is a number": (_set("products", 0, "uri", 7),
+                        "product 'px-100': uri must be a string, got int"),
 }
 
 
@@ -184,6 +213,21 @@ def test_second_agent_product_for_one_product_exits_1_naming_both(
     assert err.startswith("error:")
     assert "agent 'ap-02': product 'px-100@urn:mfg:acme' is already bound to " \
         "AgentProduct 'ap-01'" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_declared_next_generation_id_exits_1_naming_both(
+        command, fixtures_dir, tmp_path, capsys):
+    doc = json.loads((fixtures_dir / "closed_loop.scn").read_text())
+    doc["products"].append({**doc["products"][0], "serial": "px-100-g2"})
+    path = tmp_path / "bad.scn"
+    path.write_text(json.dumps(doc))
+    args = ["--out", str(tmp_path)] if command == "run" else []
+    code = main([command, "--scenario", str(path), *args])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err == ("error: product 'px-100-g2@urn:mfg:acme' takes the id that the next "
+                   "generation of product 'px-100@urn:mfg:acme' starts under\n")
 
 
 # Each scalar of closed_loop.scn is replaced by each of these in turn.

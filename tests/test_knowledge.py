@@ -17,7 +17,6 @@ from ploop.knowledge import (
     classify_activity,
     explicit_record,
     normalize_payload,
-    save_insight,
     tacit_record,
 )
 from ploop.messages import KEY_KNOWLEDGE_RECORD
@@ -115,7 +114,11 @@ class TestRecordInvariants:
             payload="battery swells",
             created_at=40,
         )
-        assert KnowledgeRecord.from_json_line(record.to_json_line()) == record
+        assert json.loads(record.to_json_line()) == {
+            "record_id": "r1", "product_id": FAMILY, "generation": 2,
+            "activity": "Customer", "mode": "Explicit", "source": "Collective",
+            "payload": "battery swells", "created_at": 40,
+        }
 
 
 class TestIngestExplicit:
@@ -283,18 +286,10 @@ class TestPersistence:
         add_tacit(repo, "failure", "overheat", 41)
         path = tmp_path / "repo.jsonl"
         repo.save(path)
-        loaded = KnowledgeRepository.load(path)
-        assert loaded.records == repo.records
-
-    def test_insight_summary_file_is_flat(self, tmp_path):
-        repo = KnowledgeRepository()
-        add_explicit(repo, "battery swells", 40)
-        add_explicit(repo, "battery weak", 41)
-        insight = aggregate(repo, FAMILY, 1)
-        path = tmp_path / "insight.json"
-        save_insight(insight, path)
-        raw = json.loads(path.read_text())
-        assert raw["family"] == FAMILY
-        assert raw["record_count"] == 2
-        assert raw["top_issues"][0] == "battery"
-        assert all(not isinstance(v, dict) for v in raw.values())
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == [record.to_json_line() for record in repo.records]
+        assert [(raw["record_id"], raw["mode"], raw["payload"], raw["created_at"])
+                for raw in map(json.loads, lines)] == [
+            ("kr-000000", "Explicit", "battery swells", 40),
+            ("kr-000001", "Tacit", "failure overheat", 41),
+        ]

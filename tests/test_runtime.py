@@ -479,6 +479,47 @@ def _plan_migration_calls(monkeypatch, parked):
     return calls
 
 
+def _retire_at(tick_):
+    return lambda world: world.schedule_action(
+        tick_, Action(LifecycleEvent.RETIREMENT_REQUESTED, PID.render()))
+
+
+# Each case: a call on a world at clock 1 with node n1, product PID at n1
+# and agent a-01 at n1; the error it raises; and a pattern of its message.
+WORLD_GUARDS = {
+    "duplicate product": (
+        lambda world: world.register_product(PID, 1, LifecyclePhase.EOL_USE),
+        SimulationError, "product already registered: 'px-1@urn:mfg:acme'"),
+    "product on an unknown node": (
+        lambda world: world.register_product(PID2, 1, LifecyclePhase.EOL_USE, node="n99"),
+        UnknownNode, "product node 'n99'"),
+    "unknown home": (lambda world: world.spawn_agent(AgentRole.SERVICE, "n99"),
+                     UnknownNode, "home node 'n99'"),
+    "duplicate agent id": (
+        lambda world: world.spawn_agent(AgentRole.SERVICE, "n1", agent_id="a-01"),
+        SimulationError, "agent id already registered: 'a-01'"),
+    "action at the clock": (_retire_at(1), SimulationError, "at tick 1 not after clock 1"),
+    "action before the clock": (_retire_at(0), SimulationError,
+                                "at tick 0 not after clock 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORLD_GUARDS))
+def test_world_guard_raises_and_changes_nothing(case):
+    call, error, message = WORLD_GUARDS[case]
+    world = World()
+    world.register_node(NodeKind.MANUFACTURER, "n1")
+    world.register_product(PID, 1, LifecyclePhase.EOL_USE, node="n1")
+    world.spawn_agent(AgentRole.SERVICE, "n1", agent_id="a-01")
+    tick(world)
+    logged = len(world.events)
+    with pytest.raises(error, match=message):
+        call(world)
+    assert len(world.events) == logged
+    assert list(world.products) == [PID.render()] and list(world.agents) == ["a-01"]
+    assert not world._actions
+
+
 def test_idle_agents_cost_no_planning(monkeypatch):
     few = _plan_migration_calls(monkeypatch, 10)
     many = _plan_migration_calls(monkeypatch, 1000)
@@ -813,13 +854,12 @@ def reference_event_line(event):
                       separators=(",", ":"))
 
 
-def reference_record_line(record):
-    return json.dumps({"record_id": record.record_id, "product_id": record.family,
-                       "generation": record.generation,
-                       "activity": record.activity.value, "mode": record.mode.value,
-                       "source": record.source.value, "payload": record.payload,
-                       "created_at": record.created_at},
-                      separators=(",", ":"))
+def record_fields(record):
+    return {"record_id": record.record_id, "product_id": record.family,
+            "generation": record.generation,
+            "activity": record.activity.value, "mode": record.mode.value,
+            "source": record.source.value, "payload": record.payload,
+            "created_at": record.created_at}
 
 
 def test_event_line_matches_reference_and_round_trips():
@@ -851,8 +891,8 @@ def test_record_line_matches_reference_and_round_trips():
             created_at=rng.randint(0, 10**20),
         )
         line = record.to_json_line()
-        assert line == reference_record_line(record)
-        assert KnowledgeRecord.from_json_line(line) == record
+        assert line == json.dumps(record_fields(record), separators=(",", ":"))
+        assert json.loads(line) == record_fields(record)
 
 
 # -- the log codec against json's own entry points ----------------------------
