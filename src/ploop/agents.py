@@ -24,7 +24,7 @@ Role summary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Union
 
@@ -211,4 +211,5 @@ def apply_memory(agent: AgentState, key: str, value: Any) -> AgentState:
     """Copy-on-write memory update used by the runtime for UpdateMemory."""
     memory = dict(agent.memory)
     memory[key] = value
-    return replace(agent, memory=memory)
+    return AgentState(agent.agent_id, agent.role, agent.location, agent.product_id, memory,
+                      agent.itinerary)

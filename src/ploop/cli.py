@@ -1,9 +1,13 @@
 """Command-line interface.
 
-Subcommands: run, validate, report, compare. Exit codes: 0 on success,
-1 on validation or parse errors, 2 on internal invariant violations.
-Results go to stdout and to the files ``run`` writes; a failed command
-writes its message to stderr.
+Subcommands: run, validate, report, compare. Exit codes: 0 on success
+(and for ``--help``); 1 on bad input: a usage error (an unknown or
+missing argument, a ``--seed`` that is not an integer, no subcommand), a
+scenario, log or report that does not parse or validate (a log with no
+``run_started`` line is not a run log), or an output directory ``run``
+cannot write; 2 on internal invariant violations. Results go to stdout
+and to the files ``run`` writes; a failed command writes its message to
+stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import Iterator
+from itertools import chain
+from typing import Iterator, NoReturn
 
 from .harness import (
     IncomparableRuns,
@@ -25,7 +30,7 @@ from .harness import (
     load_scenario,
     run,
 )
-from .runtime import LoggedEvent
+from .runtime import EVT_RUN_STARTED, LoggedEvent
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,7 +41,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None and args.seed < 0:
         raise ScenarioValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     scenario = load_scenario(args.scenario)
-    result = run(scenario, seed_override=args.seed, out_dir=args.out)
+    try:
+        result = run(scenario, seed_override=args.seed, out_dir=args.out)
+    except OSError as exc:  # only writing the run files does I/O
+        path = exc.filename or args.out
+        raise ScenarioValidationError(f"{path}: {exc.strerror or exc}") from None
     sys.stdout.write(result.report.to_text())
     return EXIT_OK
 
@@ -69,9 +78,23 @@ def _log_events(path: str) -> Iterator[LoggedEvent]:
         raise ScenarioParseError(f"{path}: {exc}") from None
 
 
+def _run_log(path: str) -> Iterator[LoggedEvent]:
+    """The events of a saved log that has a ``run_started`` line; without
+    one it is not a run log. Only the events up to the first
+    ``run_started`` (in a ploop log, the first line) are looked at here;
+    the rest stream straight from ``_log_events``, with no check per line."""
+    events = _log_events(path)
+    head = []
+    for event in events:
+        head.append(event)
+        if event.event_kind == EVT_RUN_STARTED:
+            return chain(head, events)
+    raise ScenarioValidationError("no run_started line")
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        report = compute_report(_log_events(args.log))
+        report = compute_report(_run_log(args.log))
     except ScenarioValidationError as exc:
         raise ScenarioValidationError(f"{args.log}: not a run log ({exc})") from None
     if args.json:
@@ -98,8 +121,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like any bad input;
+    its subparsers are built from the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ploop",
         description="Deterministic mobile-agent product-lifecycle simulator.",
     )

@@ -41,6 +41,15 @@ construction.
 A parked agent without an itinerary costs a tick nothing, and a delivery
 costs only the recipients its rule resolves to.
 
+A hop costs a fixed handful of small objects and no scan of the world:
+``migrate`` checks the pair's windows, unindexes the agent and stores a
+``Transfer`` tuple; on arrival the landed ``AgentState`` is built by its
+constructor (2.0 µs, where ``dataclasses.replace`` takes 3.8 µs; Python
+3.11, 2-core x86-64 VM), indexed, and logged. Step 2 scans the in-flight
+transfers, returns at once when none is due, and sorts only the due ones
+(see ``Transfer`` for why this is a scan and not a heap). ``severed``
+loops over one pair's windows.
+
 Fail-closed faults: partitioned migrations are refused at send time and
 logged; partitioned deliveries are dropped and logged; no message or agent
 ever crosses a severed pair.
@@ -56,10 +65,11 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Any, Collection, Iterable, Mapping, NamedTuple
 
@@ -410,12 +420,25 @@ class ProductState:
         return self.product_id.render()
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
+    """One agent in flight from ``source`` to ``target``, due at ``arrive_at``.
+
+    A NamedTuple, so starting a hop builds a tuple: about 0.5 µs, against
+    1.0 µs for a frozen dataclass (Python 3.11, 2-core x86-64 VM). Each
+    tick scans ``World.in_flight`` for the due transfers instead of keeping
+    them in a heap: the roaming workload never has more than 32 agents in
+    flight, and an arrival held by a partition stays due, so a heap would
+    pop and push it back every tick the pair stays severed.
+    """
+
     agent_id: str
     source: str
     target: str
     arrive_at: int
+
+
+# Due arrivals land by arrival tick, then agent id.
+_ARRIVAL_ORDER = itemgetter(3, 0)
 
 
 @dataclass(frozen=True)
@@ -622,8 +645,10 @@ class World:
 
     def severed(self, a: str, b: str) -> bool:
         clock = self.clock
-        return any(w.from_tick <= clock <= w.to_tick
-                   for w in self._windows.get(_pair(a, b), ()))
+        for window in self._windows.get(_pair(a, b), ()):
+            if window.from_tick <= clock <= window.to_tick:
+                return True
+        return False
 
     # -- resident indexes ---------------------------------------------------
 
@@ -713,25 +738,26 @@ def tick(world: World) -> list[LoggedEvent]:
 
 
 def _complete_due_migrations(world: World) -> None:
-    due = sorted(
-        (t for t in world.in_flight.values() if t.arrive_at <= world.clock),
-        key=lambda t: (t.arrive_at, t.agent_id),
-    )
-    for transfer in due:
+    clock = world.clock
+    due = [t for t in world.in_flight.values() if t.arrive_at <= clock]
+    if not due:
+        return
+    due.sort(key=_ARRIVAL_ORDER)
+    for agent_id, source, target, _ in due:
         # Held in flight while the pair is severed; lands once it heals.
-        if world.severed(transfer.source, transfer.target):
+        if world.severed(source, target):
             continue
-        agent = world.agents[transfer.agent_id]
-        agent = replace(agent, location=transfer.target,
-                        itinerary=_drop_heads(agent.itinerary, transfer.target))
-        world.agents[transfer.agent_id] = agent
+        agent = world.agents[agent_id]
+        agent = AgentState(agent_id, agent.role, target, agent.product_id, agent.memory,
+                           _drop_heads(agent.itinerary, target))
+        world.agents[agent_id] = agent
         world._settle(agent)
-        del world.in_flight[transfer.agent_id]
+        del world.in_flight[agent_id]
         world.log(
             EVT_MIGRATION_COMPLETED,
-            node=transfer.target,
-            agent=transfer.agent_id,
-            detail={"source": transfer.source},
+            node=target,
+            agent=agent_id,
+            detail={"source": source},
         )
 
 

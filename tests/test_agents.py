@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -255,6 +256,13 @@ class TestPurityAndClosure:
             if isinstance(effect, UpdateMemory):
                 state = apply_memory(state, effect.key, effect.value)
         assert state.product_id == PID
+
+    def test_memory_update_changes_only_memory(self):
+        agent = make_agent(AgentRole.PRODUCT, location="n2", itinerary=("n3", "n1"),
+                           memory={"k": 1})
+        updated = apply_memory(agent, "events_seen", 4)
+        assert updated == dataclasses.replace(agent, memory={"k": 1, "events_seen": 4})
+        assert agent.memory == {"k": 1}
 
 
 class TestPlanMigration:

@@ -61,6 +61,44 @@ def test_negative_seed_exits_1_naming_it(fixtures_dir, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+# Each case: the arguments and the end of the message argparse gives.
+USAGE_ERRORS = {
+    "seed is not an integer": (["run", "--scenario", "fixtures/minimal.scn", "--seed", "abc"],
+                               "ploop run: error: argument --seed: invalid int value: 'abc'\n"),
+    "no subcommand": ([], "ploop: error: the following arguments are required: command\n"),
+    "report without --log": (["report"],
+                             "ploop report: error: the following arguments are required: --log\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exits_1_with_usage(case, capsys):
+    argv, message = USAGE_ERRORS[case]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ploop") and captured.err.endswith(message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ploop")
+
+
+def test_unwritable_out_exits_1_naming_it(fixtures_dir, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a regular file\n")
+    code = main(["run", "--scenario", str(fixtures_dir / "minimal.scn"), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {out}: File exists\n"
+    assert out.read_text() == "a regular file\n"
+
+
 def test_report_recomputes_from_log(fixtures_dir, tmp_path, capsys):
     main(["run", "--scenario", str(fixtures_dir / "closed_loop.scn"),
           "--out", str(tmp_path)])
@@ -281,6 +319,9 @@ BAD_INPUTS = {
     "report: a detail nests too deeply": (
         "report", STARTED + EVENT.format(1, "x", json.dumps(DEEP)),
         ":2: not a log event (detail nests too deeply"),
+    "report: empty file": ("report", "", ": not a run log (no run_started line)\n"),
+    "report: no run_started line": ("report", EVENT.format(1, "x", '""') * 3,
+                                    ": not a run log (no run_started line)\n"),
     "report: not UTF-8": ("report", b"\xff\xfe", "can't decode"),
     # Past the first 8 KB read, after events have already been decoded.
     "report: not UTF-8 after 8 KB": (

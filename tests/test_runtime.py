@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import os
 import random
@@ -621,6 +623,64 @@ class TestTick:
                     arrival_ticks.append(event.tick)
         assert arrival_ticks == [5]
         assert world.agents["a-01"].location == "n2"
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(("a-03", "a-01", "a-02"))))
+    def test_same_tick_arrivals_land_in_agent_id_order(self, order):
+        world = World(latency=LatencyMap(default=2))
+        world.register_node(NodeKind.MANUFACTURER, "n1")
+        world.register_node(NodeKind.REPAIR_GARAGE, "n2")
+        for agent_id in ("a-02", "a-03", "a-01"):
+            world.spawn_agent(AgentRole.SERVICE, "n1", agent_id=agent_id)
+        for agent_id in order:
+            migrate(world, agent_id, "n2")
+        assert tick(world) == []
+        landed = [(e.tick, e.agent) for e in tick(world)
+                  if e.event_kind == EVT_MIGRATION_COMPLETED]
+        assert landed == [(2, "a-01"), (2, "a-02"), (2, "a-03")]
+
+    def test_landing_changes_only_location_and_itinerary(self):
+        world = World()
+        for kind, node in ((NodeKind.MANUFACTURER, "n1"), (NodeKind.REPAIR_GARAGE, "n2"),
+                           (NodeKind.CUSTOMER_SITE, "n3")):
+            world.register_node(kind, node)
+        world.spawn_agent(AgentRole.PRODUCT, "n1", product_id=PID, agent_id="ap-01",
+                          memory={"seen": 3}, itinerary=("n2", "n2", "n3"))
+        before = world.agents["ap-01"]
+        tick(world)   # leaves for n2
+        assert [e.event_kind for e in tick(world)][0] == EVT_MIGRATION_COMPLETED
+        assert world.agents["ap-01"] == dataclasses.replace(before, location="n2",
+                                                            itinerary=("n3",))
+
+    def test_held_arrivals_land_by_arrival_tick_then_agent_id(self):
+        # n1-n2 and n1-n4 are severed for ticks 1..3. a-09 is due at 1 and
+        # a-04 at 2, both held; a-01 and a-02 are due at 4 on an open pair.
+        world = World(
+            latency=LatencyMap(default=1, pairs={("n1", "n3"): 4, ("n1", "n4"): 2}),
+            partitions=(PartitionWindow("n1", "n2", 1, 3), PartitionWindow("n4", "n1", 1, 3)),
+        )
+        for kind, node in ((NodeKind.MANUFACTURER, "n1"), (NodeKind.REPAIR_GARAGE, "n2"),
+                           (NodeKind.CUSTOMER_SITE, "n3"), (NodeKind.PRODUCT_EMBEDDED, "n4")):
+            world.register_node(kind, node)
+        targets = {"a-02": "n3", "a-01": "n3", "a-09": "n2", "a-04": "n4"}
+        for agent_id, target in targets.items():
+            world.spawn_agent(AgentRole.SERVICE, "n1", agent_id=agent_id)
+            migrate(world, agent_id, target)
+        landed = [(e.tick, e.agent, e.node) for _ in range(5) for e in tick(world)
+                  if e.event_kind == EVT_MIGRATION_COMPLETED]
+        assert landed == [(4, "a-09", "n2"), (4, "a-04", "n4"),
+                          (4, "a-01", "n3"), (4, "a-02", "n3")]
+        assert not world.in_flight
+
+    def test_severed_at_both_inclusive_edges_of_each_window(self):
+        world = World(partitions=(PartitionWindow("n2", "n1", 9, 12),
+                                  PartitionWindow("n1", "n2", 3, 5)))
+        inside = {*range(3, 6), *range(9, 13)}
+        # From one tick before the first window to one tick after the second.
+        for clock in range(2, 14):
+            world.clock = clock
+            assert world.severed("n1", "n2") is (clock in inside), clock
+            assert world.severed("n2", "n1") is (clock in inside), clock
+            assert not world.severed("n1", "n3")
 
     def test_itinerary_refusal_is_logged_and_retried(self):
         world = World(partitions=(PartitionWindow("n1", "n2", 1, 2),))
