@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import asdict
 from itertools import chain
+from pathlib import Path
 from typing import Iterator, NoReturn
 
 from .harness import (
@@ -60,9 +61,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _not_utf8(path: str) -> str:
+    """Where a file first fails to decode as UTF-8: its line, the byte and
+    the byte's offset in the file, found by reading it again as bytes."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{line}: not UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})"
+    return f"{path}: not UTF-8"
+
+
 def _log_events(path: str) -> Iterator[LoggedEvent]:
     """Each non-blank line of a saved log, read and decoded one at a time;
-    an unreadable or non-UTF-8 file is a parse error."""
+    an unreadable or non-UTF-8 file is a parse error, and a non-UTF-8 one
+    names the line and the offset of its first bad byte."""
     try:
         with open(path, encoding="utf-8") as lines:
             for number, line in enumerate(lines, 1):
@@ -74,8 +88,14 @@ def _log_events(path: str) -> Iterator[LoggedEvent]:
                     raise ScenarioParseError(
                         f"{path}:{number}: not a log event ({exc})") from None
                 yield event
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        try:
+            message = _not_utf8(path)
+        except OSError as exc:
+            message = f"{path}: {exc}"
+        raise ScenarioParseError(message) from None
 
 
 def _run_log(path: str) -> Iterator[LoggedEvent]:

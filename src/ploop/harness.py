@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NoReturn
 
 from .identity import (
     IntelligenceChannel,
@@ -132,7 +132,15 @@ class Stimulus:
     detail: str = ""               # fault
 
 
-STIMULUS_KINDS = ("sensor_batch", "customer_feedback", "fault", "retirement")
+# The keys a stimulus of each kind may carry.
+_STIMULUS_KEYS = {
+    kind: frozenset(("tick", "node", "kind", "product", *extra))
+    for kind, extra in (("sensor_batch", ("category", "note", "events")),
+                        ("customer_feedback", ("text",)),
+                        ("fault", ("detail",)),
+                        ("retirement", ()))
+}
+STIMULUS_KINDS = tuple(_STIMULUS_KEYS)
 
 
 @dataclass(frozen=True)
@@ -191,12 +199,16 @@ def _field(raw: dict[str, Any], key: str, kind: str, default: Any = None, what: 
     return value
 
 
-def _entries(raw: dict[str, Any], key: str, what: str = "") -> list[dict[str, Any]]:
-    """The list under raw[key] (empty when absent), each entry an object."""
+def _entries(raw: dict[str, Any], key: str, what: str = "",
+             known: frozenset[str] | None = None) -> list[dict[str, Any]]:
+    """The list under raw[key] (empty when absent), each entry an object
+    with no key outside known, when known is given."""
     entries = _field(raw, key, "a list", [], what)
     for i, entry in enumerate(entries):
         if type(entry) is not dict:
             raise ScenarioValidationError(f"{what}{key}[{i}] must be an object")
+        if known is not None and not known.issuperset(entry):
+            _unknown_keys(entry, known, f"{what}{key}[{i}]")
     return entries
 
 
@@ -209,6 +221,34 @@ def _counts(raw: dict[str, Any], key: str) -> dict[str, int]:
     return dict(counts)
 
 
+# The keys the loader reads from each object; any other key is refused.
+# A product's memory is free-form and is not checked.
+_SCENARIO_KEYS = frozenset(("format", "name", "seed", "horizon", "nodes", "products", "agents",
+                            "routing", "latency", "partitions", "stimuli", "params"))
+_NODE_KEYS = frozenset(("id", "kind"))
+_PRODUCT_KEYS = frozenset(("serial", "uri", "generation", "phase", "node", "components",
+                           "capabilities", "memory", "intelligence_location"))
+_COMPONENT_KEYS = frozenset(("component", "condition", "hazardous"))
+_LOCATION_KEYS = frozenset(("channel", "granularity"))
+_AGENT_KEYS = frozenset(("id", "role", "home", "product", "itinerary"))
+_RULE_KEYS = frozenset(("pattern", "recipients"))
+_LATENCY_KEYS = frozenset(("default", "pairs"))
+_PAIR_KEYS = frozenset(("a", "b", "ticks"))
+_PARTITION_KEYS = frozenset(("a", "b", "from_tick", "to_tick"))
+_EVENT_KEYS = frozenset(("sensor", "value", "unit"))
+_PARAMS_KEYS = frozenset(("trigger_threshold", "eol_policy", "message_latency", "design_ticks",
+                          "manufacture_ticks", "disposal_ticks", "trigger_rule_enabled"))
+_POLICY_KEYS = frozenset(("reuse_threshold", "component_threshold", "reclaim_threshold"))
+
+
+def _unknown_keys(raw: dict[str, Any], known: frozenset[str], what: str) -> NoReturn:
+    """Refuse the keys of raw outside known, naming them and the object.
+    Callers test ``known.issuperset(raw)`` first, so the success path makes
+    no call and builds no message."""
+    unknown = ", ".join(map(repr, sorted(raw.keys() - known)))
+    raise ScenarioValidationError(f"{what}: unknown key {unknown}")
+
+
 def _known(ref: Any, ids: set[str]) -> bool:
     """Whether ref names a declared id; a non-string never does."""
     return isinstance(ref, str) and ref in ids
@@ -218,6 +258,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     _require(isinstance(doc, dict), "scenario document must be a JSON object")
     _require(doc.get("format") == SCENARIO_FORMAT,
              "unsupported scenario format {!r}, expected {}", doc.get("format"), SCENARIO_FORMAT)
+    if not _SCENARIO_KEYS.issuperset(doc):
+        _unknown_keys(doc, _SCENARIO_KEYS, "scenario")
     name = doc.get("name")
     _require(isinstance(name, str) and bool(name), "scenario name must be a non-empty string")
     seed = _field(doc, "seed", "an integer", 0)
@@ -227,7 +269,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
     nodes: list[NodeDecl] = []
     node_ids: set[str] = set()
-    for raw in _entries(doc, "nodes"):
+    for raw in _entries(doc, "nodes", known=_NODE_KEYS):
         node_id = raw.get("id")
         _require(isinstance(node_id, str) and bool(node_id), "node id must be a non-empty string")
         _require(node_id not in node_ids, "duplicate node id {!r}", node_id)
@@ -238,7 +280,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     products: list[ProductDecl] = []
     product_ids: set[str] = set()
     successors: dict[str, str] = {}   # next generation's id -> its parent product
-    for raw in _entries(doc, "products"):
+    for raw in _entries(doc, "products", known=_PRODUCT_KEYS):
         serial = _field(raw, "serial", "a string", what="product ")
         uri = _field(raw, "uri", "a string", what=f"product {serial!r}: ")
         try:
@@ -251,7 +293,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         generation = _field(raw, "generation", "an integer", 1, what)
         _require(generation >= 1, "{}generation must be an integer >= 1", what)
         components = []
-        for c in _entries(raw, "components", what):
+        for c in _entries(raw, "components", what, _COMPONENT_KEYS):
             try:
                 components.append(ComponentCondition(
                     component=c["component"],
@@ -268,6 +310,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         location_meta = None
         if meta_raw is not None:
             _field(raw, "intelligence_location", "an object", what=what)
+            if not _LOCATION_KEYS.issuperset(meta_raw):
+                _unknown_keys(meta_raw, _LOCATION_KEYS, f"product {serial!r} intelligence_location")
             location_meta = IntelligenceLocation(
                 channel=_enum_value(IntelligenceChannel, meta_raw.get("channel"),
                                     f"product {serial!r} intelligence channel"),
@@ -296,7 +340,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     agents: list[AgentDecl] = []
     agent_ids: set[str] = set()
     bound: dict[str, str] = {}   # product -> the AgentProduct that speaks for it
-    for raw in _entries(doc, "agents"):
+    for raw in _entries(doc, "agents", known=_AGENT_KEYS):
         agent_id = raw.get("id")
         _require(isinstance(agent_id, str) and bool(agent_id), "agent id must be a non-empty string")
         _require(agent_id not in agent_ids, "duplicate agent id {!r}", agent_id)
@@ -321,7 +365,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         agents.append(AgentDecl(agent_id, role, home, product, itinerary))
 
     rules = []
-    for raw in _entries(doc, "routing"):
+    for raw in _entries(doc, "routing", known=_RULE_KEYS):
         pattern = _field(raw, "pattern", "a string", "", "routing rule ")
         recipients = tuple(_field(raw, "recipients", "a list", [], "routing rule "))
         _require(all(type(r) is str for r in recipients),
@@ -333,8 +377,10 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         raise ScenarioValidationError(f"routing: {exc}") from None
 
     latency_raw = _field(doc, "latency", "an object", {})
+    if not _LATENCY_KEYS.issuperset(latency_raw):
+        _unknown_keys(latency_raw, _LATENCY_KEYS, "latency")
     pairs: dict[tuple[str, str], int] = {}
-    for raw in _entries(latency_raw, "pairs", "latency "):
+    for raw in _entries(latency_raw, "pairs", "latency ", _PAIR_KEYS):
         a, b = raw.get("a"), raw.get("b")
         _require(_known(a, node_ids) and _known(b, node_ids),
                  "latency pair ({!r}, {!r}) unknown node", a, b)
@@ -349,7 +395,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     latency = LatencyMap(default=default_latency, pairs=pairs)
 
     partitions: list[PartitionWindow] = []
-    for raw in _entries(doc, "partitions"):
+    for raw in _entries(doc, "partitions", known=_PARTITION_KEYS):
         a, b = raw.get("a"), raw.get("b")
         _require(_known(a, node_ids) and _known(b, node_ids),
                  "partition ({!r}, {!r}) unknown node", a, b)
@@ -361,10 +407,12 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         partitions.append(PartitionWindow(a=a, b=b, from_tick=lo, to_tick=hi))
 
     stimuli: list[Stimulus] = []
-    for raw in _entries(doc, "stimuli"):
+    for i, raw in enumerate(_entries(doc, "stimuli")):
         kind = raw.get("kind")
         _require(kind in STIMULUS_KINDS,
                  "stimulus kind {!r} is not one of {}", kind, ", ".join(STIMULUS_KINDS))
+        if not _STIMULUS_KEYS[kind].issuperset(raw):
+            _unknown_keys(raw, _STIMULUS_KEYS[kind], f"stimuli[{i}] ({kind})")
         tick_ = _field(raw, "tick", "an integer", what="stimulus ")
         _require(1 <= tick_ <= horizon, "stimulus tick {!r} must be within 1..{}", tick_, horizon)
         node = raw.get("node")
@@ -378,7 +426,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             product=product,
             category=raw.get("category", ""),
             note=raw.get("note", ""),
-            events=tuple(_entries(raw, "events", "stimulus ")),
+            events=tuple(_entries(raw, "events", "stimulus ", _EVENT_KEYS)),
             text=raw.get("text", ""),
             detail=raw.get("detail", ""),
         )
@@ -388,7 +436,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                      stim.category, ", ".join(TACIT_CATEGORIES))
             _require(type(stim.note) is str, "sensor_batch note must be a string")
             for event in stim.events:
-                _require({"sensor", "value", "unit"} <= event.keys()
+                # No key is unknown, so three keys are all of them.
+                _require(len(event) == len(_EVENT_KEYS)
                          and type(event["sensor"]) is str and type(event["unit"]) is str
                          and type(event["value"]) in _KINDS["a number"],
                          "sensor_batch events need sensor and unit strings, "
@@ -402,8 +451,12 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         stimuli.append(stim)
 
     params_raw = _field(doc, "params", "an object", {})
+    if not _PARAMS_KEYS.issuperset(params_raw):
+        _unknown_keys(params_raw, _PARAMS_KEYS, "params")
     try:
         policy_raw = _field(params_raw, "eol_policy", "an object", {})
+        if not _POLICY_KEYS.issuperset(policy_raw):
+            _unknown_keys(policy_raw, _POLICY_KEYS, "eol_policy")
         policy = EOLPolicy(
             reuse_threshold=_field(policy_raw, "reuse_threshold", "a number", 0.8),
             component_threshold=_field(policy_raw, "component_threshold", "a number", 0.6),

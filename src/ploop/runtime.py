@@ -29,15 +29,16 @@ to that product, and a world holds at most one such agent per product.
 Other roles, and payloads about no one product, reach every resident
 agent of the role.
 
-Per-tick cost follows activity, not agent count. The World keeps its
-indexes up to date instead of rescanning: the resident directory (agent
-to role for every agent not in flight) and resident agent ids by role,
-which routing reads with the AgentProduct bound to each product; the
-residents with a pending itinerary, which step 5 walks; and the
-partition windows by node pair, which ``severed`` reads. Spawn,
-migration start and arrival maintain the resident indexes; a product's
-AgentProduct is bound once, at spawn, and the windows are fixed at
-construction.
+Per-tick cost follows activity, not agent count. The World stores each
+fact once and keeps only the indexes a hot path reads, up to date instead
+of rescanning: the ids of the residents (every agent not in flight) and
+the same ids by role, which routing reads with the AgentProduct bound to
+each product; the residents with a pending itinerary, which step 5 walks;
+and the partition windows by node pair, which ``severed`` reads. An
+agent's place is its ``AgentState.location``, and ``census`` derives
+where every agent is from that and ``in_flight``. Spawn, migration start
+and arrival maintain the resident indexes; a product's AgentProduct is
+bound once, at spawn, and the windows are fixed at construction.
 A parked agent without an itinerary costs a tick nothing, and a delivery
 costs only the recipients its rule resolves to.
 
@@ -307,14 +308,14 @@ _PRODUCT_SCOPED = (SensorBatch, ServiceOrder, CustomerFeedback, FaultReported)
 def route(
     message: Message,
     table: RoutingTable,
-    directory: Mapping[str, AgentRole],
+    directory: Collection[str],
     roles: Mapping[AgentRole, Collection[str]],
     products: Mapping[ProductID, str],
 ) -> list[str]:
     """Resolve the first matching rule to concrete resident agents.
 
-    ``directory`` maps each resident agent to its role, ``roles`` each role
-    to its resident agents and ``products`` each product to the
+    ``directory`` holds the ids of the resident agents, ``roles`` maps each
+    role to its resident agents and ``products`` each product to the
     AgentProduct bound to it at spawn, resident or in flight. An agent-id
     selector names that agent; a role selector names every resident agent
     of the role, except that the AgentProduct selector binds a SensorBatch,
@@ -396,13 +397,6 @@ class SimParams:
 
 
 @dataclass
-class Node:
-    node_id: str
-    kind: NodeKind
-    resident_agents: set[str] = field(default_factory=set)
-
-
-@dataclass
 class ProductState:
     """World-side record of one product instance."""
 
@@ -413,7 +407,6 @@ class ProductState:
     peid: PEID
     components: tuple[ComponentCondition, ...] = ()
     node: str | None = None
-    location_meta: IntelligenceLocation | None = None
 
     @property
     def key(self) -> str:
@@ -421,24 +414,25 @@ class ProductState:
 
 
 class Transfer(NamedTuple):
-    """One agent in flight from ``source`` to ``target``, due at ``arrive_at``.
+    """One agent in flight to ``target``, due at ``arrive_at``.
 
-    A NamedTuple, so starting a hop builds a tuple: about 0.5 µs, against
-    1.0 µs for a frozen dataclass (Python 3.11, 2-core x86-64 VM). Each
-    tick scans ``World.in_flight`` for the due transfers instead of keeping
-    them in a heap: the roaming workload never has more than 32 agents in
-    flight, and an arrival held by a partition stays due, so a heap would
-    pop and push it back every tick the pair stays severed.
+    The source is not stored: the agent's ``AgentState.location`` stays the
+    node it left until it lands. A NamedTuple, so starting a hop builds a
+    tuple: about 0.5 µs, against 1.0 µs for a frozen dataclass (Python
+    3.11, 2-core x86-64 VM). Each tick scans ``World.in_flight`` for the
+    due transfers instead of keeping them in a heap: the roaming workload
+    never has more than 32 agents in flight, and an arrival held by a
+    partition stays due, so a heap would pop and push it back every tick
+    the pair stays severed.
     """
 
     agent_id: str
-    source: str
     target: str
     arrive_at: int
 
 
 # Due arrivals land by arrival tick, then agent id.
-_ARRIVAL_ORDER = itemgetter(3, 0)
+_ARRIVAL_ORDER = itemgetter(2, 0)
 
 
 @dataclass(frozen=True)
@@ -468,7 +462,7 @@ class World:
         self._windows: dict[tuple[str, str], list[PartitionWindow]] = {}
         for window in partitions:
             self._windows.setdefault(_pair(window.a, window.b), []).append(window)
-        self.nodes: dict[str, Node] = {}
+        self.nodes: dict[str, NodeKind] = {}
         self.agents: dict[str, AgentState] = {}
         self.in_flight: dict[str, Transfer] = {}
         self.products: dict[str, ProductState] = {}
@@ -476,10 +470,9 @@ class World:
         # The one knowledge repository; only the keeper (AgentKnowledge) inserts.
         self.repository = KnowledgeRepository()
         self.started_generations: set[tuple[str, int]] = set()
-        # Kept by _settle and _depart: every agent not in flight with its
-        # role, the same agents by role, and those whose itinerary is not
-        # empty.
-        self._residents: dict[str, AgentRole] = {}
+        # Kept by _settle and _depart: every agent not in flight, the same
+        # agents by role, and those whose itinerary is not empty.
+        self._residents: set[str] = set()
         self._by_role: dict[AgentRole, set[str]] = {role: set() for role in AgentRole}
         # Set once at spawn: each product's AgentProduct, resident or not.
         self._by_product: dict[ProductID, str] = {}
@@ -507,7 +500,7 @@ class World:
             node_id = f"node-{self._node_seq:04d}"
         if node_id in self.nodes:
             raise SimulationError(f"node id already registered: {node_id!r}")
-        self.nodes[node_id] = Node(node_id=node_id, kind=kind)
+        self.nodes[node_id] = kind
         self.log(EVT_NODE_REGISTERED, node=node_id, detail={"kind": kind.value})
         return node_id
 
@@ -533,7 +526,6 @@ class World:
             peid=peid,
             components=components,
             node=node,
-            location_meta=location_meta,
         )
         if state.key in self.products:
             raise SimulationError(f"product already registered: {state.key!r}")
@@ -654,16 +646,14 @@ class World:
 
     def _settle(self, agent: AgentState) -> None:
         """Index an agent that now stands at its location."""
-        self.nodes[agent.location].resident_agents.add(agent.agent_id)
-        self._residents[agent.agent_id] = agent.role
+        self._residents.add(agent.agent_id)
         self._by_role[agent.role].add(agent.agent_id)
         if agent.itinerary:
             self._travellers.add(agent.agent_id)
 
     def _depart(self, agent: AgentState) -> None:
         """Unindex an agent leaving its location."""
-        self.nodes[agent.location].resident_agents.discard(agent.agent_id)
-        del self._residents[agent.agent_id]
+        self._residents.remove(agent.agent_id)
         self._by_role[agent.role].discard(agent.agent_id)
         self._travellers.discard(agent.agent_id)
 
@@ -671,12 +661,8 @@ class World:
 
     def census(self) -> dict[str, str]:
         """Where every agent is right now: 'node:<id>' or 'in_flight'."""
-        placement: dict[str, str] = {}
-        for node in self.nodes.values():
-            for aid in node.resident_agents:
-                if aid in placement:
-                    raise SimulationError(f"agent {aid} resident at two nodes")
-                placement[aid] = f"node:{node.node_id}"
+        agents = self.agents
+        placement = {aid: f"node:{agents[aid].location}" for aid in self._residents}
         for aid in self.in_flight:
             if aid in placement:
                 raise SimulationError(f"agent {aid} both resident and in flight")
@@ -684,8 +670,9 @@ class World:
         return placement
 
     def resident_directory(self) -> dict[str, AgentRole]:
-        """Every agent not in flight, with its role (a copy)."""
-        return dict(self._residents)
+        """Every agent not in flight, with its role (a new dict)."""
+        agents = self.agents
+        return {aid: agents[aid].role for aid in self._residents}
 
 
 # -- module operation surface ------------------------------------------------
@@ -710,7 +697,7 @@ def migrate(world: World, agent_id: str, target: str) -> World:
         raise Partitioned(f"({source}, {target}) is severed")
     world._depart(agent)
     arrive_at = world.clock + world.latency.get(source, target)
-    world.in_flight[agent_id] = Transfer(agent_id, source, target, arrive_at)
+    world.in_flight[agent_id] = Transfer(agent_id, target, arrive_at)
     world.log(
         EVT_MIGRATION_STARTED,
         node=source,
@@ -743,11 +730,12 @@ def _complete_due_migrations(world: World) -> None:
     if not due:
         return
     due.sort(key=_ARRIVAL_ORDER)
-    for agent_id, source, target, _ in due:
+    for agent_id, target, _ in due:
+        agent = world.agents[agent_id]
+        source = agent.location
         # Held in flight while the pair is severed; lands once it heals.
         if world.severed(source, target):
             continue
-        agent = world.agents[agent_id]
         agent = AgentState(agent_id, agent.role, target, agent.product_id, agent.memory,
                            _drop_heads(agent.itinerary, target))
         world.agents[agent_id] = agent

@@ -105,14 +105,15 @@ def test_criterion_3_migration_conservation_fuzz():
     spawned = 0
 
     def census_oracle():
-        # Independent scan: every spawned agent appears exactly once
-        # across node resident sets and the in-flight set.
-        seen = []
-        for node in world.nodes.values():
-            seen.extend(node.resident_agents)
-        seen.extend(world.in_flight)
-        assert len(seen) == len(set(seen)) == spawned
-        assert set(seen) == set(world.agents)
+        # Independent of census(): the residents and the agents in flight
+        # are disjoint, together hold every spawned agent exactly once,
+        # and each resident stands at a registered node.
+        residents = world.resident_directory()
+        assert residents.keys().isdisjoint(world.in_flight)
+        assert len(residents) + len(world.in_flight) == spawned
+        assert residents.keys() | world.in_flight.keys() == set(world.agents)
+        for aid in residents:
+            assert world.agents[aid].location in world.nodes
 
     with criterion(3, "migration conservation", 30.0):
         for _ in range(10):

@@ -191,7 +191,7 @@ def _set(*path_and_value):
 
 
 # Each case: the mutation of closed_loop.scn and the part of the error
-# message that names the field.
+# message that names the field, or the key that the loader does not read.
 MISTYPED_FIELDS = {
     "node entry is a list": (_set("nodes", 0, ["mfg", "Manufacturer"]),
                              "nodes[0] must be an object"),
@@ -207,6 +207,8 @@ MISTYPED_FIELDS = {
                                  "value must be a number"),
     "sensor unit is a number": (_set("stimuli", 0, "events", 0, "unit", 5),
                                 "unit strings"),
+    "sensor unit is missing": (lambda doc: doc["stimuli"][0]["events"][0].pop("unit"),
+                               "unit strings"),
     "feedback text is a number": (_set("stimuli", 4, "text", 123), "non-empty text"),
     "trigger rule flag is a string": (_set("params", "trigger_rule_enabled", "no"),
                                       "trigger_rule_enabled must be"),
@@ -220,6 +222,16 @@ MISTYPED_FIELDS = {
                        "product serial must be a string, got NoneType"),
     "uri is a number": (_set("products", 0, "uri", 7),
                         "product 'px-100': uri must be a string, got int"),
+    "misspelled param": (_set("params", "trigger_treshold", 5),
+                         "params: unknown key 'trigger_treshold'"),
+    "unknown agent key": (_set("agents", 0, "hme", "cust"), "agents[0]: unknown key 'hme'"),
+    "text on a fault stimulus": (_set("stimuli", 2, "text", "overheats"),
+                                 "stimuli[2] (fault): unknown key 'text'"),
+    "unknown top-level key": (_set("comment", "x"), "scenario: unknown key 'comment'"),
+    "unknown sensor event key": (_set("stimuli", 0, "events", 0, "sim_time", 3),
+                                 "stimulus events[0]: unknown key 'sim_time'"),
+    "unknown eol_policy key": (_set("params", "eol_policy", "reuse", 0.5),
+                               "params: eol_policy: unknown key 'reuse'"),
 }
 
 
@@ -234,6 +246,14 @@ def test_mistyped_field_exits_1_naming_it(case, fixtures_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith("error:") and message in err
+
+
+def test_product_memory_keys_are_free_form(fixtures_dir, tmp_path, capsys):
+    doc = json.loads((fixtures_dir / "closed_loop.scn").read_text())
+    doc["products"][0]["memory"] = {"colour": "teal", "trigger_treshold": 3, "": [1]}
+    path = tmp_path / "memory.scn"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(path)]) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -322,11 +342,11 @@ BAD_INPUTS = {
     "report: empty file": ("report", "", ": not a run log (no run_started line)\n"),
     "report: no run_started line": ("report", EVENT.format(1, "x", '""') * 3,
                                     ": not a run log (no run_started line)\n"),
-    "report: not UTF-8": ("report", b"\xff\xfe", "can't decode"),
+    "report: not UTF-8": ("report", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     # Past the first 8 KB read, after events have already been decoded.
     "report: not UTF-8 after 8 KB": (
         "report", (STARTED + EVENT.format(1, "x", '""') * 120).encode() + b"\xff\n",
-        "can't decode"),
+        ":122: not UTF-8 (byte 0xff at offset 8845)"),
     "validate: not UTF-8": ("validate", b"\xff\xfe", "can't decode"),
     "validate: nests too deeply": ("validate", DEEP, "nests too deeply"),
     "run: not UTF-8": ("run", b"\xff\xfe", "can't decode"),

@@ -7,6 +7,9 @@ fixtures and for three small generated scenarios kept under
 ``tests/golden/`` (a three-product fleet, twenty parked agents beside one
 product, and six mobile agents under recurring partitions). Re-pin only
 for a deliberate format or behaviour change, and say so in CHANGES.md.
+
+The same runs check ``World.census()`` against a replay of the log's
+spawns and migrations, an oracle that reads no World internals.
 """
 
 import hashlib
@@ -81,3 +84,15 @@ def test_run_outputs_match_pinned_digests(scenario_path, tmp_path):
         for suffix in OUTPUTS
     )
     assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, GOLDEN[scenario_path]))
+
+
+@pytest.mark.parametrize("scenario_path", sorted(GOLDEN))
+def test_census_matches_replayed_log(scenario_path):
+    world = run(load_scenario(ROOT / scenario_path)).world
+    placement = {}
+    for event in world.events:
+        if event.event_kind in ("agent_spawned", "migration_completed"):
+            placement[event.agent] = f"node:{event.node}"
+        elif event.event_kind == "migration_started":
+            placement[event.agent] = "in_flight"
+    assert placement == world.census()

@@ -283,12 +283,11 @@ class TestMigration:
     def test_three_step_protocol_with_latency(self):
         world = self.build(latency=2)
         migrate(world, "a-01", "n2")
-        assert "a-01" not in world.nodes["n1"].resident_agents
-        assert "a-01" in world.in_flight
+        assert world.census() == {"a-01": "in_flight"}
         tick(world)   # clock 1: still in flight
         assert "a-01" in world.in_flight
         tick(world)   # clock 2: arrival
-        assert "a-01" in world.nodes["n2"].resident_agents
+        assert world.census() == {"a-01": "node:n2"}
         assert world.agents["a-01"].location == "n2"
         assert "a-01" not in world.in_flight
 
@@ -302,7 +301,7 @@ class TestMigration:
         world.spawn_agent(AgentRole.SERVICE, "n1", agent_id="a-01")
         with pytest.raises(Partitioned):
             migrate(world, "a-01", "n2")
-        assert "a-01" in world.nodes["n1"].resident_agents
+        assert world.census() == {"a-01": "node:n1"}
         assert not world.in_flight
 
     def test_unknown_agent_and_node(self):
@@ -441,7 +440,7 @@ class TestMigration:
         assert "i-01" not in world.agents
         assert world.resident_directory() == {"a-01": AgentRole.SERVICE}
         assert world._by_role[AgentRole.IMPACT] == set()
-        assert world.nodes["n1"].resident_agents == {"a-01"}
+        assert world.census() == {"a-01": "node:n1"}
         assert not world._travellers
         assert len(world.events) == logged
 
