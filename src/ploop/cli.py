@@ -17,7 +17,6 @@ import json
 import sys
 from dataclasses import asdict
 from itertools import chain
-from pathlib import Path
 from typing import Iterator, NoReturn
 
 from .harness import (
@@ -29,6 +28,7 @@ from .harness import (
     compute_report,
     load_json,
     load_scenario,
+    not_utf8,
     run,
 )
 from .runtime import EVT_RUN_STARTED, LoggedEvent
@@ -61,18 +61,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _not_utf8(path: str) -> str:
-    """Where a file first fails to decode as UTF-8: its line, the byte and
-    the byte's offset in the file, found by reading it again as bytes."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return f"{path}:{line}: not UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})"
-    return f"{path}: not UTF-8"
-
-
 def _log_events(path: str) -> Iterator[LoggedEvent]:
     """Each non-blank line of a saved log, read and decoded one at a time;
     an unreadable or non-UTF-8 file is a parse error, and a non-UTF-8 one
@@ -91,11 +79,7 @@ def _log_events(path: str) -> Iterator[LoggedEvent]:
     except OSError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from None
     except UnicodeDecodeError:
-        try:
-            message = _not_utf8(path)
-        except OSError as exc:
-            message = f"{path}: {exc}"
-        raise ScenarioParseError(message) from None
+        raise ScenarioParseError(not_utf8(path)) from None
 
 
 def _run_log(path: str) -> Iterator[LoggedEvent]:
@@ -118,7 +102,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except ScenarioValidationError as exc:
         raise ScenarioValidationError(f"{args.log}: not a run log ({exc})") from None
     if args.json:
-        sys.stdout.write(json.dumps(asdict(report), indent=2) + "\n")
+        sys.stdout.write(report.to_json())
     else:
         sys.stdout.write(report.to_text())
     return EXIT_OK

@@ -16,7 +16,7 @@ so comparing the two isolates the feedback loop as the only difference.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, NoReturn
 
@@ -58,6 +58,8 @@ from .runtime import (
     RoutingTable,
     SimParams,
     World,
+    _pair,
+    _ROLES,
     detail_str,  # unused here; perfbench traces ploop.harness.detail_str by name
     next_generation_id,
     tick,
@@ -87,7 +89,7 @@ class IncomparableRuns(Exception):
 
 @dataclass(frozen=True)
 class NodeDecl:
-    node_id: str
+    id: str
     kind: NodeKind
 
 
@@ -101,7 +103,7 @@ class ProductDecl:
     components: tuple[ComponentCondition, ...] = ()
     capabilities: tuple[PEIDCapability, ...] = tuple(PEIDCapability)
     memory: dict[str, Any] = field(default_factory=dict)
-    location_meta: IntelligenceLocation | None = None
+    intelligence_location: IntelligenceLocation | None = None
 
     @property
     def rendered_id(self) -> str:
@@ -110,7 +112,7 @@ class ProductDecl:
 
 @dataclass(frozen=True)
 class AgentDecl:
-    agent_id: str
+    id: str
     role: AgentRole
     home: str
     product: str | None = None
@@ -221,24 +223,48 @@ def _counts(raw: dict[str, Any], key: str) -> dict[str, int]:
     return dict(counts)
 
 
+def _keys(cls: Any) -> frozenset[str]:
+    """The field names of a dataclass: the keys of the object it is read from."""
+    return frozenset(f.name for f in fields(cls))
+
+
 # The keys the loader reads from each object; any other key is refused.
+# Each is the field set of the class the object is read into, except the
+# latency pair and the sensor event, which no class of that shape holds.
 # A product's memory is free-form and is not checked.
-_SCENARIO_KEYS = frozenset(("format", "name", "seed", "horizon", "nodes", "products", "agents",
-                            "routing", "latency", "partitions", "stimuli", "params"))
-_NODE_KEYS = frozenset(("id", "kind"))
-_PRODUCT_KEYS = frozenset(("serial", "uri", "generation", "phase", "node", "components",
-                           "capabilities", "memory", "intelligence_location"))
-_COMPONENT_KEYS = frozenset(("component", "condition", "hazardous"))
-_LOCATION_KEYS = frozenset(("channel", "granularity"))
-_AGENT_KEYS = frozenset(("id", "role", "home", "product", "itinerary"))
-_RULE_KEYS = frozenset(("pattern", "recipients"))
-_LATENCY_KEYS = frozenset(("default", "pairs"))
+_SCENARIO_KEYS = _keys(Scenario) | {"format"}
+_NODE_KEYS = _keys(NodeDecl)
+_PRODUCT_KEYS = _keys(ProductDecl)
+_COMPONENT_KEYS = _keys(ComponentCondition)
+_LOCATION_KEYS = _keys(IntelligenceLocation)
+_AGENT_KEYS = _keys(AgentDecl)
+_RULE_KEYS = _keys(RoutingRule)
+_LATENCY_KEYS = _keys(LatencyMap)
 _PAIR_KEYS = frozenset(("a", "b", "ticks"))
-_PARTITION_KEYS = frozenset(("a", "b", "from_tick", "to_tick"))
-_EVENT_KEYS = frozenset(("sensor", "value", "unit"))
-_PARAMS_KEYS = frozenset(("trigger_threshold", "eol_policy", "message_latency", "design_ticks",
-                          "manufacture_ticks", "disposal_ticks", "trigger_rule_enabled"))
-_POLICY_KEYS = frozenset(("reuse_threshold", "component_threshold", "reclaim_threshold"))
+_PARTITION_KEYS = _keys(PartitionWindow)
+_EVENT_ORDER = ("sensor", "value", "unit")   # the file's order
+_EVENT_KEYS = frozenset(_EVENT_ORDER)
+_PARAMS_KEYS = _keys(SimParams)
+_POLICY_KEYS = _keys(EOLPolicy)
+
+# The JSON kind of each annotated field type that _build reads.
+_TYPE_KINDS = {"int": "an integer", "float": "a number", "bool": "a boolean", "str": "a string"}
+
+# The fields _build reads for each class: name, JSON kind and whether the
+# field is required, having no default. A field of another type is given.
+_READS = {
+    cls: tuple((f.name, _TYPE_KINDS[f.type], f.default is MISSING)
+               for f in fields(cls) if f.type in _TYPE_KINDS)
+    for cls in (ComponentCondition, EOLPolicy, SimParams)
+}
+
+
+def _build(cls: Any, raw: dict[str, Any], what: str = "", **given: Any) -> Any:
+    """cls from given and the keys of raw, each of its field's JSON kind. A
+    field with a default is read only when present, so an absent one takes
+    the dataclass's own default."""
+    return cls(**given, **{name: _field(raw, name, kind, what=what)
+                           for name, kind, required in _READS[cls] if required or name in raw})
 
 
 def _unknown_keys(raw: dict[str, Any], known: frozenset[str], what: str) -> NoReturn:
@@ -295,12 +321,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         components = []
         for c in _entries(raw, "components", what, _COMPONENT_KEYS):
             try:
-                components.append(ComponentCondition(
-                    component=c["component"],
-                    condition=_field(c, "condition", "a number", what=f"{what}component "),
-                    hazardous=_field(c, "hazardous", "a boolean", False, f"{what}component "),
-                ))
-            except (KeyError, ValueError) as exc:
+                components.append(_build(ComponentCondition, c, f"{what}component "))
+            except ValueError as exc:
                 raise ScenarioValidationError(f"product {serial!r} component: {exc}") from None
         capabilities = tuple(
             _enum_value(PEIDCapability, c, f"product {serial!r} capability")
@@ -327,7 +349,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             components=tuple(components),
             capabilities=capabilities,
             memory=dict(_field(raw, "memory", "an object", {}, what)),
-            location_meta=location_meta,
+            intelligence_location=location_meta,
         )
         _require(decl.rendered_id not in product_ids, "duplicate product {!r}", decl.rendered_id)
         product_ids.add(decl.rendered_id)
@@ -370,6 +392,10 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         recipients = tuple(_field(raw, "recipients", "a list", [], "routing rule "))
         _require(all(type(r) is str for r in recipients),
                  "routing rule recipients must be strings, got {!r}", list(recipients))
+        # No agent is spawned after loading, so any other name never matches.
+        for r in recipients:
+            _require(r in _ROLES or r in agent_ids, "routing rule {!r}: recipient {!r} "
+                     "names no role and no declared agent", pattern, r)
         rules.append(RoutingRule(pattern, recipients))
     try:
         routing = RoutingTable(rules=tuple(rules))
@@ -387,10 +413,10 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         _require(a != b, "latency pair ({!r}, {!r}) must name two distinct nodes", a, b)
         ticks_ = _field(raw, "ticks", "an integer", what="latency ")
         _require(ticks_ >= 1, "latency ticks must be an integer >= 1")
-        key = (a, b) if a <= b else (b, a)
+        key = _pair(a, b)
         _require(key not in pairs, "duplicate latency pair ({!r}, {!r})", a, b)
         pairs[key] = ticks_
-    default_latency = _field(latency_raw, "default", "an integer", 1, "latency ")
+    default_latency = _field(latency_raw, "default", "an integer", LatencyMap.default, "latency ")
     _require(default_latency >= 1, "default latency must be an integer >= 1")
     latency = LatencyMap(default=default_latency, pairs=pairs)
 
@@ -419,17 +445,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         _require(_known(node, node_ids), "stimulus references unknown node {!r}", node)
         product = raw.get("product")
         _require(_known(product, product_ids), "stimulus references unknown product {!r}", product)
-        stim = Stimulus(
-            tick=tick_,
-            node=node,
-            kind=kind,
-            product=product,
-            category=raw.get("category", ""),
-            note=raw.get("note", ""),
-            events=tuple(_entries(raw, "events", "stimulus ", _EVENT_KEYS)),
-            text=raw.get("text", ""),
-            detail=raw.get("detail", ""),
-        )
+        events = tuple(_entries(raw, "events", "stimulus ", _EVENT_KEYS))
+        stim = Stimulus(**{**raw, "events": events})
         if kind == "sensor_batch":
             _require(stim.category in TACIT_CATEGORIES,
                      "sensor_batch category {!r} must be one of {}",
@@ -457,20 +474,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         policy_raw = _field(params_raw, "eol_policy", "an object", {})
         if not _POLICY_KEYS.issuperset(policy_raw):
             _unknown_keys(policy_raw, _POLICY_KEYS, "eol_policy")
-        policy = EOLPolicy(
-            reuse_threshold=_field(policy_raw, "reuse_threshold", "a number", 0.8),
-            component_threshold=_field(policy_raw, "component_threshold", "a number", 0.6),
-            reclaim_threshold=_field(policy_raw, "reclaim_threshold", "a number", 0.3),
-        )
-        params = SimParams(
-            trigger_threshold=_field(params_raw, "trigger_threshold", "an integer", 10),
-            eol_policy=policy,
-            message_latency=_field(params_raw, "message_latency", "an integer", 1),
-            design_ticks=_field(params_raw, "design_ticks", "an integer", 3),
-            manufacture_ticks=_field(params_raw, "manufacture_ticks", "an integer", 4),
-            disposal_ticks=_field(params_raw, "disposal_ticks", "an integer", 1),
-            trigger_rule_enabled=_field(params_raw, "trigger_rule_enabled", "a boolean", True),
-        )
+        params = _build(SimParams, params_raw, eol_policy=_build(EOLPolicy, policy_raw))
     except Exception as exc:
         raise ScenarioValidationError(f"params: {exc}") from None
 
@@ -490,101 +494,46 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """Canonical document form; save(load(x)) is byte-stable."""
-    stimuli_docs = []
-    for s in scenario.stimuli:
-        raw: dict[str, Any] = {"tick": s.tick, "node": s.node, "kind": s.kind,
-                               "product": s.product}
-        if s.kind == "sensor_batch":
-            raw["category"] = s.category
-            raw["note"] = s.note
-            raw["events"] = [
-                {"sensor": e["sensor"], "value": e["value"], "unit": e["unit"]}
-                for e in s.events
-            ]
-        elif s.kind == "customer_feedback":
-            raw["text"] = s.text
-        elif s.kind == "fault":
-            raw["detail"] = s.detail
-        stimuli_docs.append(raw)
-    return {
-        "format": SCENARIO_FORMAT,
-        "name": scenario.name,
-        "seed": scenario.seed,
-        "horizon": scenario.horizon,
-        "nodes": [{"id": n.node_id, "kind": n.kind.value} for n in scenario.nodes],
-        "products": [
-            {
-                "serial": p.serial,
-                "uri": p.uri,
-                "generation": p.generation,
-                "phase": p.phase.value,
-                "node": p.node,
-                "components": [
-                    {"component": c.component, "condition": c.condition,
-                     "hazardous": c.hazardous}
-                    for c in p.components
-                ],
-                "capabilities": [c.value for c in p.capabilities],
-                "memory": p.memory,
-                "intelligence_location": (
-                    None if p.location_meta is None else {
-                        "channel": p.location_meta.channel.value,
-                        "granularity": p.location_meta.granularity.value,
-                    }
-                ),
-            }
-            for p in scenario.products
-        ],
-        "agents": [
-            {
-                "id": a.agent_id,
-                "role": a.role.value,
-                "home": a.home,
-                "product": a.product,
-                "itinerary": list(a.itinerary),
-            }
-            for a in scenario.agents
-        ],
-        "routing": [
-            {"pattern": r.pattern, "recipients": list(r.recipients)}
-            for r in scenario.routing.rules
-        ],
-        "latency": {
-            "default": scenario.latency.default,
-            "pairs": [
-                {"a": a, "b": b, "ticks": ticks_}
-                for (a, b), ticks_ in sorted(scenario.latency.pairs.items())
-            ],
-        },
-        "partitions": [
-            {"a": w.a, "b": w.b, "from_tick": w.from_tick, "to_tick": w.to_tick}
-            for w in scenario.partitions
-        ],
-        "stimuli": stimuli_docs,
-        "params": {
-            "trigger_threshold": scenario.params.trigger_threshold,
-            "message_latency": scenario.params.message_latency,
-            "design_ticks": scenario.params.design_ticks,
-            "manufacture_ticks": scenario.params.manufacture_ticks,
-            "disposal_ticks": scenario.params.disposal_ticks,
-            "trigger_rule_enabled": scenario.params.trigger_rule_enabled,
-            "eol_policy": {
-                "reuse_threshold": scenario.params.eol_policy.reuse_threshold,
-                "component_threshold": scenario.params.eol_policy.component_threshold,
-                "reclaim_threshold": scenario.params.eol_policy.reclaim_threshold,
-            },
-        },
-    }
+    """Canonical document form; save(load(x)) is byte-stable. Field order
+    is file order, so asdict writes all but the rule list, the sorted
+    latency pairs and each stimulus, which keeps its own kind's keys."""
+    doc = {"format": SCENARIO_FORMAT, **asdict(scenario)}
+    doc["routing"] = doc["routing"]["rules"]
+    doc["latency"]["pairs"] = [{"a": a, "b": b, "ticks": ticks_}
+                               for (a, b), ticks_ in sorted(scenario.latency.pairs.items())]
+    doc["stimuli"] = [{k: v for k, v in s.items() if k in _STIMULUS_KEYS[s["kind"]]}
+                      for s in doc["stimuli"]]
+    for s in doc["stimuli"]:
+        if "events" in s:
+            s["events"] = [{k: e[k] for k in _EVENT_ORDER} for e in s["events"]]
+    return doc
+
+
+def not_utf8(path: Path | str) -> str:
+    """Where a file first fails to decode as UTF-8: its line, the byte and
+    the byte's offset in the file, found by reading it again as bytes."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        return f"{path}: {exc}"
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{line}: not UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})"
+    return f"{path}: not UTF-8"
 
 
 def load_json(path: Path | str) -> Any:
     """The JSON document in a file, with the line and column of a syntax error;
-    an unreadable or non-UTF-8 file is a parse error."""
+    an unreadable or non-UTF-8 file is a parse error, and a non-UTF-8 one
+    names the line and the offset of its first bad byte."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ScenarioParseError(not_utf8(path)) from None
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except RecursionError:
@@ -617,7 +566,7 @@ def build_world(scenario: Scenario, seed_override: int | None = None) -> World:
         detail={"scenario": scenario.name, "seed": seed, "horizon": scenario.horizon},
     )
     for decl in scenario.nodes:
-        world.register_node(decl.kind, decl.node_id)
+        world.register_node(decl.kind, decl.id)
     for decl in scenario.products:
         world.register_product(
             product_id=mint_product_id(decl.serial, decl.uri),
@@ -627,7 +576,7 @@ def build_world(scenario: Scenario, seed_override: int | None = None) -> World:
             capabilities=decl.capabilities,
             memory=decl.memory,
             node=decl.node,
-            location_meta=decl.location_meta,
+            location_meta=decl.intelligence_location,
         )
     for decl in scenario.agents:
         product_id = None
@@ -638,7 +587,7 @@ def build_world(scenario: Scenario, seed_override: int | None = None) -> World:
             home=decl.home,
             product_id=product_id,
             itinerary=decl.itinerary,
-            agent_id=decl.agent_id,
+            agent_id=decl.id,
         )
     for stim in scenario.stimuli:
         product = world.products[stim.product]
@@ -759,6 +708,10 @@ class RunReport:
         lines.append(f"{'migrations':<22}{self.migrations}")
         return "\n".join(lines) + "\n"
 
+    def to_json(self) -> str:
+        """The report as written to ``<name>.report.json``."""
+        return json.dumps(asdict(self), indent=2) + "\n"
+
 
 def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     """Derive the run report purely from the events of a run log: the
@@ -875,9 +828,7 @@ def write_run_files(
     with paths["events"].open("w", encoding="utf-8") as out:
         for event in world.events:
             out.write(event.to_json_line() + "\n")
-    paths["report_json"].write_text(
-        json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8"
-    )
+    paths["report_json"].write_text(report.to_json(), encoding="utf-8")
     paths["report_text"].write_text(report.to_text(), encoding="utf-8")
     world.repository.save(paths["repository"])
     return paths

@@ -379,15 +379,17 @@ class PartitionWindow:
 
 @dataclass(frozen=True)
 class SimParams:
-    """Scenario-level knobs applied by the engine."""
+    """Scenario-level knobs applied by the engine. Field order is the key
+    order of a scenario file's ``params``; an absent key takes the default
+    here."""
 
     trigger_threshold: int = 10
-    eol_policy: EOLPolicy = EOLPolicy()
     message_latency: int = 1
     design_ticks: int = 3
     manufacture_ticks: int = 4
     disposal_ticks: int = 1
     trigger_rule_enabled: bool = True
+    eol_policy: EOLPolicy = EOLPolicy()
 
     def __post_init__(self) -> None:
         for name in ("trigger_threshold", "message_latency", "design_ticks",

@@ -199,6 +199,8 @@ MISTYPED_FIELDS = {
     "params is a list": (_set("params", []), "params must be an object"),
     "component condition is a string": (
         _set("products", 0, "components", 0, "condition", "0.2"), "condition must be"),
+    "component name is a number": (_set("products", 0, "components", 0, "component", 5),
+                                   "component must be a string"),
     "seed is a bool": (_set("seed", True), "seed must be"),
     "horizon is a bool": (_set("horizon", True), "horizon must be"),
     "trigger threshold is a float": (_set("params", "trigger_threshold", 2.5),
@@ -218,6 +220,10 @@ MISTYPED_FIELDS = {
     "routing recipient is a number": (_set("routing", 0, "recipients", 0, 7),
                                       "recipients must be strings"),
     "routing pattern is empty": (_set("routing", 0, "pattern", ""), "routing: empty pattern"),
+    "routing recipient names nothing": (
+        _set("routing", 0, "recipients", 0, "AgentCustomr"),
+        "routing rule 'feedback.customer': recipient 'AgentCustomr' names no role "
+        "and no declared agent"),
     "serial is null": (_set("products", 0, "serial", None),
                        "product serial must be a string, got NoneType"),
     "uri is a number": (_set("products", 0, "uri", 7),
@@ -347,10 +353,10 @@ BAD_INPUTS = {
     "report: not UTF-8 after 8 KB": (
         "report", (STARTED + EVENT.format(1, "x", '""') * 120).encode() + b"\xff\n",
         ":122: not UTF-8 (byte 0xff at offset 8845)"),
-    "validate: not UTF-8": ("validate", b"\xff\xfe", "can't decode"),
+    "validate: not UTF-8": ("validate", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     "validate: nests too deeply": ("validate", DEEP, "nests too deeply"),
-    "run: not UTF-8": ("run", b"\xff\xfe", "can't decode"),
-    "compare: not UTF-8": ("compare", b"\xff\xfe", "can't decode"),
+    "run: not UTF-8": ("run", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
+    "compare: not UTF-8": ("compare", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     "compare: nests too deeply": ("compare", DEEP, "nests too deeply"),
 }
 

@@ -20,11 +20,12 @@ from ploop.harness import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from ploop.runtime import LoggedEvent
+from ploop.runtime import LoggedEvent, SimParams
 
 ROOT = Path(__file__).resolve().parent.parent
 # The five fixtures and the generated scenarios pinned in test_golden.py.
 SCENARIOS = sorted([*ROOT.glob("fixtures/*.scn"), *ROOT.glob("tests/golden/*.scn")])
+SCENARIO_BY_NAME = {path.stem: path for path in SCENARIOS}
 
 MINIMAL_DOC = {
     "format": 1,
@@ -35,6 +36,62 @@ MINIMAL_DOC = {
     "agents": [{"id": "ak-01", "role": "AgentKnowledge", "home": "hub",
                 "product": None, "itinerary": []}],
     "routing": [{"pattern": "*", "recipients": []}],
+}
+
+
+# Every key in an order the writer does not use; no seed, latency default,
+# capabilities, itinerary, generation or hazardous flag; params with one
+# engine parameter and one threshold.
+SPARSE_DOC = {
+    "params": {"eol_policy": {"reclaim_threshold": 0.25}, "design_ticks": 5},
+    "stimuli": [
+        {"product": "px-1@urn:x", "kind": "sensor_batch", "tick": 2, "node": "cust",
+         "events": [{"unit": "C", "value": 21.5, "sensor": "temp"}], "note": "warm",
+         "category": "environment"},
+        {"detail": "rattle", "kind": "fault", "node": "cust", "product": "px-1@urn:x", "tick": 3},
+        {"kind": "retirement", "product": "px-1@urn:x", "node": "cust", "tick": 4},
+    ],
+    "partitions": [{"to_tick": 6, "from_tick": 5, "b": "hub", "a": "cust"}],
+    "latency": {"pairs": [{"ticks": 2, "b": "cust", "a": "hub"}]},
+    "routing": [{"recipients": ["AgentKnowledge", "ak-01"], "pattern": "*"}],
+    "agents": [{"home": "hub", "role": "AgentKnowledge", "id": "ak-01"}],
+    "products": [{"node": "cust", "phase": "EOL_Use", "uri": "urn:x", "serial": "px-1",
+                  "components": [{"condition": 0.5, "component": "lid"}]}],
+    "nodes": [{"kind": "CustomerSite", "id": "cust"}, {"kind": "Manufacturer", "id": "hub"}],
+    "horizon": 8,
+    "name": "sparse",
+    "format": 1,
+}
+
+# SPARSE_DOC as the writer puts it: keys in file order, defaults filled in.
+SPARSE_CANONICAL = {
+    "format": 1, "name": "sparse", "seed": 0, "horizon": 8,
+    "nodes": [{"id": "cust", "kind": "CustomerSite"}, {"id": "hub", "kind": "Manufacturer"}],
+    "products": [{
+        "serial": "px-1", "uri": "urn:x", "generation": 1, "phase": "EOL_Use", "node": "cust",
+        "components": [{"component": "lid", "condition": 0.5, "hazardous": False}],
+        "capabilities": ["UniqueID", "Communication", "SelfStorage", "FeatureLanguage",
+                         "DecisionMaking"],
+        "memory": {}, "intelligence_location": None,
+    }],
+    "agents": [{"id": "ak-01", "role": "AgentKnowledge", "home": "hub", "product": None,
+                "itinerary": []}],
+    "routing": [{"pattern": "*", "recipients": ["AgentKnowledge", "ak-01"]}],
+    "latency": {"default": 1, "pairs": [{"a": "cust", "b": "hub", "ticks": 2}]},
+    "partitions": [{"a": "cust", "b": "hub", "from_tick": 5, "to_tick": 6}],
+    "stimuli": [
+        {"tick": 2, "node": "cust", "kind": "sensor_batch", "product": "px-1@urn:x",
+         "category": "environment", "note": "warm",
+         "events": [{"sensor": "temp", "value": 21.5, "unit": "C"}]},
+        {"tick": 3, "node": "cust", "kind": "fault", "product": "px-1@urn:x", "detail": "rattle"},
+        {"tick": 4, "node": "cust", "kind": "retirement", "product": "px-1@urn:x"},
+    ],
+    "params": {
+        "trigger_threshold": 10, "message_latency": 1, "design_ticks": 5,
+        "manufacture_ticks": 4, "disposal_ticks": 1, "trigger_rule_enabled": True,
+        "eol_policy": {"reuse_threshold": 0.8, "component_threshold": 0.6,
+                       "reclaim_threshold": 0.25},
+    },
 }
 
 
@@ -49,6 +106,13 @@ class TestLoadScenario:
         scenario = scenario_from_dict(MINIMAL_DOC)
         assert scenario.name == "tiny"
         assert scenario.horizon == 10
+
+    def test_absent_params_take_the_engine_defaults(self):
+        assert scenario_from_dict(MINIMAL_DOC).params == SimParams()
+
+    def test_sparse_reordered_document_writes_canonical_json(self):
+        written = json.dumps(scenario_to_dict(scenario_from_dict(SPARSE_DOC)), indent=2)
+        assert written == json.dumps(SPARSE_CANONICAL, indent=2)
 
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ScenarioParseError):
@@ -91,11 +155,9 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError, match="product binding"):
             scenario_from_dict(doc)
 
-    @pytest.mark.parametrize(
-        "name", ["minimal", "closed_loop", "baseline", "migration", "partition"]
-    )
-    def test_fixture_round_trips_byte_exact(self, fixtures_dir, tmp_path, name):
-        source = fixtures_dir / f"{name}.scn"
+    @pytest.mark.parametrize("name", sorted(SCENARIO_BY_NAME))
+    def test_fixture_round_trips_byte_exact(self, tmp_path, name):
+        source = SCENARIO_BY_NAME[name]
         scenario = load_scenario(source)
         copy = tmp_path / f"{name}.scn"
         save_scenario(scenario, copy)

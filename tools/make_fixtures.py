@@ -71,7 +71,7 @@ CLOSED_LOOP_PRODUCT = ProductDecl(
     ),
     capabilities=tuple(PEIDCapability),
     memory={"model": "PX-100"},
-    location_meta=IntelligenceLocation(
+    intelligence_location=IntelligenceLocation(
         IntelligenceChannel.AT_OBJECT, IntelligenceGranularity.ITEM
     ),
 )
