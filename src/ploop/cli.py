@@ -3,11 +3,11 @@
 Subcommands: run, validate, report, compare. Exit codes: 0 on success
 (and for ``--help``); 1 on bad input: a usage error (an unknown or
 missing argument, a ``--seed`` that is not an integer, no subcommand), a
-scenario, log or report that does not parse or validate (a log with no
-``run_started`` line is not a run log), or an output directory ``run``
-cannot write; 2 on internal invariant violations. Results go to stdout
-and to the files ``run`` writes; a failed command writes its message to
-stderr.
+scenario, log or report that does not parse or validate (a log whose
+first event is not ``run_started``, or that holds a second one, is not a
+run log), or an output directory ``run`` cannot write; 2 on internal
+invariant violations. Results go to stdout and to the files ``run``
+writes; a failed command writes its message to stderr.
 """
 
 from __future__ import annotations
@@ -62,20 +62,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _log_events(path: str) -> Iterator[LoggedEvent]:
-    """Each non-blank line of a saved log, read and decoded one at a time;
-    an unreadable or non-UTF-8 file is a parse error, and a non-UTF-8 one
+    """Each non-blank line of a saved log, read and decoded one at a time.
+    A line goes to the decoder as it is, less its ``"\n"``; only a line
+    that fails to decode is tested for blankness, and skipped if blank. An
+    unreadable or non-UTF-8 file is a parse error, and a non-UTF-8 one
     names the line and the offset of its first bad byte."""
     try:
         with open(path, encoding="utf-8") as lines:
+            decode = LoggedEvent.from_json_line
             for number, line in enumerate(lines, 1):
-                if not line.strip():
-                    continue
                 try:
-                    event = LoggedEvent.from_json_line(line.rstrip("\n"))
+                    yield decode(line[:-1] if line[-1] == "\n" else line)
                 except ValueError as exc:
-                    raise ScenarioParseError(
-                        f"{path}:{number}: not a log event ({exc})") from None
-                yield event
+                    if line.strip():
+                        raise ScenarioParseError(
+                            f"{path}:{number}: not a log event ({exc})") from None
     except OSError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from None
     except UnicodeDecodeError:
@@ -83,17 +84,16 @@ def _log_events(path: str) -> Iterator[LoggedEvent]:
 
 
 def _run_log(path: str) -> Iterator[LoggedEvent]:
-    """The events of a saved log that has a ``run_started`` line; without
-    one it is not a run log. Only the events up to the first
-    ``run_started`` (in a ploop log, the first line) are looked at here;
-    the rest stream straight from ``_log_events``, with no check per line."""
+    """The events of a saved log that holds one run: its first event must
+    be ``run_started``, so anything else is refused at its first event,
+    holding nothing. ``compute_report`` refuses a second ``run_started``."""
     events = _log_events(path)
-    head = []
-    for event in events:
-        head.append(event)
-        if event.event_kind == EVT_RUN_STARTED:
-            return chain(head, events)
-    raise ScenarioValidationError("no run_started line")
+    first = next(events, None)
+    if first is None:
+        raise ScenarioValidationError("no run_started line")
+    if first.event_kind != EVT_RUN_STARTED:
+        raise ScenarioValidationError(f"the first event is {first.event_kind!r}, not run_started")
+    return chain((first,), events)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -164,9 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Built on the first call and kept: parsing leaves no state in the
+    # parser, and building it costs more than a small command's work.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioParseError, ScenarioValidationError, IncomparableRuns) as exc:

@@ -716,7 +716,8 @@ class RunReport:
 def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     """Derive the run report purely from the events of a run log: the
     world's events in ``run``, a saved log's decoded lines in ``ploop report``.
-    Each detail field read must have its JSON type."""
+    Each detail field read must have its JSON type, and a log holds one run:
+    a second ``run_started`` event is refused."""
     scenario = ""
     seed = 0
     total_ticks = 0
@@ -730,36 +731,40 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     dropped = 0
     migrations = 0
 
-    for event in events:
-        detail = event.detail
-        if event.event_kind == EVT_RUN_STARTED:
+    started = False
+    for tick, kind, _, _, _, detail in events:
+        if kind == EVT_RUN_STARTED:
+            if started:
+                raise ScenarioValidationError(
+                    f"a second run_started event, at tick {tick}: a log holds one run")
+            started = True
             scenario = _field(detail, "scenario", "a string", "", "run_started ")
             seed = _field(detail, "seed", "an integer", 0, "run_started ")
             total_ticks = _field(detail, "horizon", "an integer", 0, "run_started ")
-        elif event.event_kind == EVT_RUN_FINISHED:
-            total_ticks = event.tick
-        elif event.event_kind == EVT_KNOWLEDGE_INSERTED:
+        elif kind == EVT_RUN_FINISHED:
+            total_ticks = tick
+        elif kind == EVT_KNOWLEDGE_INSERTED:
             if first_record_tick is None:
-                first_record_tick = event.tick
+                first_record_tick = tick
             for counts, key in ((by_mode, "mode"), (by_source, "source"),
                                 (by_activity, "activity")):
                 value = _field(detail, key, "a string", what="knowledge_inserted ")
                 counts[value] = counts.get(value, 0) + 1
-        elif event.event_kind == EVT_DESIGN_TRIGGER:
+        elif kind == EVT_DESIGN_TRIGGER:
             if first_trigger_tick is None:
-                first_trigger_tick = event.tick
-        elif event.event_kind == EVT_GENERATION_LAUNCHED:
+                first_trigger_tick = tick
+        elif kind == EVT_GENERATION_LAUNCHED:
             launch_times.append(LaunchTime(
                 _field(detail, "family", "a string", what="generation_launched "),
                 _field(detail, "generation", "an integer", what="generation_launched "),
-                event.tick,
+                tick,
             ))
-        elif event.event_kind == EVT_EOL_DECISION:
+        elif kind == EVT_EOL_DECISION:
             decision = _field(detail, "decision", "a string", what="eol_decision ")
             eol_decisions[decision] = eol_decisions.get(decision, 0) + 1
-        elif event.event_kind == EVT_MESSAGE_DROPPED:
+        elif kind == EVT_MESSAGE_DROPPED:
             dropped += 1
-        elif event.event_kind == EVT_MIGRATION_COMPLETED:
+        elif kind == EVT_MIGRATION_COMPLETED:
             migrations += 1
 
     closure = None

@@ -58,8 +58,10 @@ ever crosses a severed pair.
 Every log site passes its detail as a dict; ``LoggedEvent``, a
 NamedTuple, owns the line format. It encodes a line in one pass, through
 one C encoder built at import, only when the line is written, and decodes
-it only when a saved log is read back, calling json's C scanner once for
-the line and once for its detail text.
+it only when a saved log is read back. Decoding calls json's C scanner
+once for the line and once for a non-empty detail text, with no Python
+call between; what else a line costs is one test of all six envelope
+types, one of the detail's, and a bare ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -180,18 +182,8 @@ EVT_PEID_REFUSED = "peid_refused"
 _int = int.__repr__
 _DETAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _scan = json.JSONDecoder().scan_once
-
-
-def _loads(text: str) -> Any:
-    """``json.loads(text)``, with the C scanner called directly when the
-    value spans the whole text: the same value, or the same exception.
-    With fewer Python frames on the stack it can nest a level or two
-    deeper before ``RecursionError``."""
-    try:
-        value, end = _scan(text, 0)
-    except StopIteration:
-        return json.loads(text)
-    return value if end == len(text) else json.loads(text)
+_envelope = itemgetter("tick", "event_kind", "node", "agent", "msg_id", "detail")
+_new_event = tuple.__new__
 
 
 class LoggedEvent(NamedTuple):
@@ -201,9 +193,9 @@ class LoggedEvent(NamedTuple):
     in memory (an empty read-only mapping by default). ``to_json_line`` is
     the only encoder: six fixed fields in a fixed order, with the detail
     written as key-sorted compact JSON text (``""`` when empty).
-    ``from_json_line`` is the only decoder: the C scanner reads the line and
-    then the detail text once each, and a field of the wrong JSON type is
-    refused.
+    ``from_json_line`` is the only decoder: json's C scanner reads the line,
+    and then a non-empty detail text, once each, and a field of the wrong
+    JSON type is refused, naming the first such field in envelope order.
     """
 
     tick: int
@@ -221,25 +213,56 @@ class LoggedEvent(NamedTuple):
 
     @classmethod
     def from_json_line(cls, line: str) -> "LoggedEvent":
+        """The event a line holds. The C scanner reads the line, and then a
+        non-empty detail text, in one call each; ``json.loads`` reads a text
+        again only when that scan cannot start or stops short of the end,
+        to skip surrounding whitespace or to raise its own error. One
+        expression tests every envelope type, and the event is built as a
+        bare tuple."""
         try:
-            raw = _loads(line)
+            try:
+                raw, end = _scan(line, 0)
+                if end != len(line):
+                    raw = json.loads(line)
+            except StopIteration:
+                raw = json.loads(line)
         except RecursionError:
             raise ValueError("a log line nests too deeply to decode") from None
-        if type(raw) is not dict:
-            raise ValueError("a log line must be a JSON object")
-        if type(raw.get("tick")) is not int:
-            raise ValueError(f"tick must be an integer, got {type(raw.get('tick')).__name__}")
-        for key in ("event_kind", "node", "agent", "msg_id", "detail"):
-            if type(raw.get(key)) is not str:
-                raise ValueError(f"{key} must be a string, got {type(raw.get(key)).__name__}")
         try:
-            detail = _loads(raw["detail"]) if raw["detail"] else {}
-        except RecursionError:
-            raise ValueError("detail nests too deeply to decode") from None
-        if type(detail) is not dict:
-            raise ValueError("detail must be empty or the text of a JSON object")
-        return cls(raw["tick"], raw["event_kind"], raw["node"], raw["agent"],
-                   raw["msg_id"], detail)
+            tick, kind, node, agent, msg_id, text = _envelope(raw)
+        except (KeyError, TypeError):
+            raise ValueError(_envelope_error(raw)) from None
+        if not (type(tick) is int and type(kind) is type(node) is type(agent)
+                is type(msg_id) is type(text) is str):
+            raise ValueError(_envelope_error(raw))
+        if text:
+            try:
+                try:
+                    detail, end = _scan(text, 0)
+                    if end != len(text):
+                        detail = json.loads(text)
+                except StopIteration:
+                    detail = json.loads(text)
+            except RecursionError:
+                raise ValueError("detail nests too deeply to decode") from None
+            if type(detail) is not dict:
+                raise ValueError("detail must be empty or the text of a JSON object")
+        else:
+            detail = {}
+        return _new_event(cls, (tick, kind, node, agent, msg_id, detail))
+
+
+def _envelope_error(raw: Any) -> str:
+    """Why a decoded line is not an event: it is not an object, or it names
+    the first field, in envelope order, that lacks its JSON type."""
+    if type(raw) is not dict:
+        return "a log line must be a JSON object"
+    if type(raw.get("tick")) is not int:
+        return f"tick must be an integer, got {type(raw.get('tick')).__name__}"
+    for key in ("event_kind", "node", "agent", "msg_id"):
+        if type(raw.get(key)) is not str:
+            return f"{key} must be a string, got {type(raw.get(key)).__name__}"
+    return f"detail must be a string, got {type(raw.get('detail')).__name__}"
 
 
 if c_make_encoder is None:

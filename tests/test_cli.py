@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ploop.cli import main
 from ploop.runtime import LoggedEvent
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_validate_ok(fixtures_dir, capsys):
@@ -346,8 +354,16 @@ BAD_INPUTS = {
         "report", STARTED + EVENT.format(1, "x", json.dumps(DEEP)),
         ":2: not a log event (detail nests too deeply"),
     "report: empty file": ("report", "", ": not a run log (no run_started line)\n"),
-    "report: no run_started line": ("report", EVENT.format(1, "x", '""') * 3,
-                                    ": not a run log (no run_started line)\n"),
+    "report: no run_started line": (
+        "report", EVENT.format(1, "x", '""') * 3,
+        ": not a run log (the first event is 'x', not run_started)\n"),
+    "report: run_started is not the first event": (
+        "report", EVENT.format(0, "x", '""') + STARTED,
+        ": not a run log (the first event is 'x', not run_started)\n"),
+    # Two saved logs concatenated.
+    "report: two runs in one log": (
+        "report", STARTED + EVENT.format(1, "x", '""') + STARTED,
+        ": not a run log (a second run_started event, at tick 0: a log holds one run)\n"),
     "report: not UTF-8": ("report", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     # Past the first 8 KB read, after events have already been decoded.
     "report: not UTF-8 after 8 KB": (
@@ -505,3 +521,46 @@ def test_report_mistyped_log_field_exits_1_naming_it(case, fixtures_dir, tmp_pat
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith(f"error: {path}{where}") and message in err
+
+
+def test_reused_parser_leaks_no_state(fixtures_dir, tmp_path):
+    """One process parses every command with the same parser: each call
+    prints what the same command prints in a fresh process."""
+    main(["run", "--scenario", str(fixtures_dir / "closed_loop.scn"), "--out", str(tmp_path)])
+    log = str(tmp_path / "closed_loop.events.jsonl")
+    # closed_loop's own seed is 42.
+    again = ["run", "--scenario", str(fixtures_dir / "closed_loop.scn"), "--out", str(tmp_path)]
+    calls = [
+        ["report", "--log", log, "--json"],
+        ["report", "--log", log],
+        [*again, "--seed", "7"],
+        again,
+        ["report"],                 # a usage error
+        ["report", "--log", log],
+        ["--help"],
+        ["report", "--log", log, "--json"],
+    ]
+
+    def in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+        return code, out.getvalue(), err.getvalue()
+
+    def fresh(argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from ploop.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    seen = [(argv, in_process(argv)) for argv in calls]
+    assert [code for _, (code, _, _) in seen] == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert "seed                  7\n" in seen[2][1][1]
+    assert "seed                  42\n" in seen[3][1][1]
+    for argv, result in seen:
+        assert result == fresh(argv), argv

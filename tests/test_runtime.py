@@ -964,19 +964,39 @@ def golden_lines():
     return [line for scn in GOLDEN for line in run(load_scenario(scn)).log_lines]
 
 
-def assert_loads_like_json(text):
-    """runtime._loads gives json.loads's value, or its exception and message."""
+DETAIL_LINE = '{{"tick":1,"event_kind":"x","node":"","agent":"","msg_id":"","detail":{}}}'
+
+
+def outcome(line):
+    """What from_json_line makes of a line: its fields, or its error message.
+    repr tells NaN, -0.0 and 1 from True where == would not."""
     try:
-        expected = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        with pytest.raises(type(exc)) as got:
-            runtime._loads(text)
-        assert type(got.value) is type(exc)
-        assert str(got.value) == str(exc)
-    else:
-        value = runtime._loads(text)
-        # repr tells NaN, -0.0 and 1 from True where == would not.
-        assert type(value) is type(expected) and repr(value) == repr(expected)
+        return "event", repr(tuple(LoggedEvent.from_json_line(line)))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def assert_decodes_like_json(text):
+    """from_json_line reads text, as a whole line and as a detail text, to
+    the value json.loads gives, or fails with json.loads's own message."""
+    for line, nests in ((text, "a log line"), (DETAIL_LINE.format(json.dumps(text)), "detail")):
+        if nests == "detail" and not text:
+            continue
+        try:
+            expected = json.loads(text)
+        except RecursionError:
+            assert outcome(line) == ("error", f"{nests} nests too deeply to decode")
+        except ValueError as exc:
+            assert outcome(line) == ("error", str(exc))
+        else:
+            if nests == "a log line":
+                # The line reads as the compact text of the same value does.
+                assert outcome(line) == outcome(json.dumps(expected, separators=(",", ":")))
+            elif type(expected) is dict:
+                assert repr(LoggedEvent.from_json_line(line).detail) == repr(expected)
+            else:
+                assert outcome(line) == (
+                    "error", "detail must be empty or the text of a JSON object")
 
 
 def test_loads_matches_json_loads():
@@ -990,7 +1010,7 @@ def test_loads_matches_json_loads():
         cut = rng.randrange(len(line))
         texts += [line[:cut], line[cut:], " " + line, line + "\n", line + line]
     for text in texts:
-        assert_loads_like_json(text)
+        assert_decodes_like_json(text)
 
 
 def test_failed_detail_encode_leaves_nothing_behind():
