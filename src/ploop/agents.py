@@ -2,14 +2,16 @@
 
 Agents are deterministic rule tables: ``handle`` maps (state, message,
 tick) to a list of effects and mutates nothing itself. The runtime owns
-all side effects; an agent's knowledge emissions, sends and memory
-writes only happen when the runtime applies the returned effects. An
-agent's itinerary is data too: each tick the runtime migrates a resident
-agent with stops left to ``plan_migration``'s answer, the itinerary head.
+all side effects; an agent's knowledge emissions and sends only happen
+when the runtime applies the returned effects, and an agent keeps no
+memory between messages. Its itinerary is data too: each tick the runtime
+migrates a resident agent with stops left to ``plan_migration``'s answer,
+the itinerary head.
 
 Role summary:
   AgentProduct   shadows one physical product (same id); turns sensor
-                 batches into tacit records and tracks counters.
+                 batches into tacit records and acknowledges service
+                 orders, whose repair the runtime applies.
   AgentService   reacts to fault reports with a service order for the
                  repair garage plus a tacit service record.
   AgentCustomer  turns interactive customer feedback into explicit,
@@ -24,9 +26,9 @@ Role summary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, Union
+from typing import Union
 
 from .identity import ProductID
 from .knowledge import KnowledgeRecord, explicit_record, tacit_record
@@ -60,7 +62,8 @@ class AgentRole(str, Enum):
 
 @dataclass(frozen=True)
 class AgentState:
-    """Complete migratable state of one agent.
+    """Complete migratable state of one agent: its id, role, node, bound
+    product and itinerary.
 
     product_id is mandatory for AgentProduct (the agent and the physical
     product share an id) and optional elsewhere. The itinerary lists nodes
@@ -73,7 +76,6 @@ class AgentState:
     role: AgentRole
     location: str
     product_id: ProductID | None = None
-    memory: Mapping[str, Any] = field(default_factory=dict)
     itinerary: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -87,7 +89,7 @@ class AgentState:
 @dataclass(frozen=True)
 class SendMessage:
     """Ask the runtime to publish a payload under a routing key. The
-    runtime stamps ids, timestamps, and the origin node."""
+    runtime stamps its id, its delivery tick and its origin node."""
 
     routing_key: str
     payload: Payload
@@ -102,13 +104,7 @@ class EmitKnowledge:
     record: KnowledgeRecord
 
 
-@dataclass(frozen=True)
-class UpdateMemory:
-    key: str
-    value: Any
-
-
-Effect = Union[SendMessage, EmitKnowledge, UpdateMemory]
+Effect = Union[SendMessage, EmitKnowledge]
 
 
 def _record_id(agent: AgentState, message: Message) -> str:
@@ -126,15 +122,10 @@ def _handle_product(agent: AgentState, message: Message, tick: int) -> list[Effe
     if isinstance(payload, SensorBatch):
         if not payload.events:
             return []
-        seen = agent.memory.get("events_seen", 0) + len(payload.events)
-        return [
-            UpdateMemory("events_seen", seen),
-            EmitKnowledge(_batch_record(agent, message, tick)),
-        ]
+        return [EmitKnowledge(_batch_record(agent, message, tick))]
     if isinstance(payload, ServiceOrder):
         # Acknowledge the repair order; the runtime advances the phase.
-        count = agent.memory.get("service_orders_seen", 0) + 1
-        return [UpdateMemory("service_orders_seen", count)]
+        return []
     raise UnhandledMessage(f"AgentProduct has no rule for {payload_kind(payload)}")
 
 
@@ -206,10 +197,3 @@ def plan_migration(agent: AgentState) -> str:
     """
     return agent.itinerary[0]
 
-
-def apply_memory(agent: AgentState, key: str, value: Any) -> AgentState:
-    """Copy-on-write memory update used by the runtime for UpdateMemory."""
-    memory = dict(agent.memory)
-    memory[key] = value
-    return AgentState(agent.agent_id, agent.role, agent.location, agent.product_id, memory,
-                      agent.itinerary)

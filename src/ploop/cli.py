@@ -3,11 +3,12 @@
 Subcommands: run, validate, report, compare. Exit codes: 0 on success
 (and for ``--help``); 1 on bad input: a usage error (an unknown or
 missing argument, a ``--seed`` that is not an integer, no subcommand), a
-scenario, log or report that does not parse or validate (a log whose
-first event is not ``run_started``, or that holds a second one, is not a
-run log), or an output directory ``run`` cannot write; 2 on internal
-invariant violations. Results go to stdout and to the files ``run``
-writes; a failed command writes its message to stderr.
+scenario, log or report that does not parse or validate (a log that does
+not run from ``run_started`` to ``run_finished``, or holds two runs, is
+not a run log; a mistyped detail field is named with its line), or an
+output directory ``run`` cannot write; 2 on internal invariant
+violations. Results go to stdout and to the files ``run`` writes; a
+failed command writes its message to stderr.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from dataclasses import asdict
-from itertools import chain
 from typing import Iterator, NoReturn
 
 from .harness import (
@@ -31,7 +32,7 @@ from .harness import (
     not_utf8,
     run,
 )
-from .runtime import EVT_RUN_STARTED, LoggedEvent
+from .runtime import LoggedEvent
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,24 +84,26 @@ def _log_events(path: str) -> Iterator[LoggedEvent]:
         raise ScenarioParseError(not_utf8(path)) from None
 
 
-def _run_log(path: str) -> Iterator[LoggedEvent]:
-    """The events of a saved log that holds one run: its first event must
-    be ``run_started``, so anything else is refused at its first event,
-    holding nothing. ``compute_report`` refuses a second ``run_started``."""
-    events = _log_events(path)
-    first = next(events, None)
-    if first is None:
-        raise ScenarioValidationError("no run_started line")
-    if first.event_kind != EVT_RUN_STARTED:
-        raise ScenarioValidationError(f"the first event is {first.event_kind!r}, not run_started")
-    return chain((first,), events)
+def _line_of(path: str, event: LoggedEvent) -> int:
+    """The line of an event ``compute_report`` refused, read again: the first
+    line that reads as ``event``, compared as written (a bool is not 1); an
+    equal event on an earlier line would have been refused first."""
+    wanted = event.to_json_line()
+    with open(path, encoding="utf-8") as lines:
+        for number, line in enumerate(lines, 1):
+            with suppress(ValueError):
+                if LoggedEvent.from_json_line(line.rstrip("\n")).to_json_line() == wanted:
+                    return number
+    raise AssertionError("unreachable: the event was read from this log")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        report = compute_report(_run_log(args.log))
+        report = compute_report(_log_events(args.log))
     except ScenarioValidationError as exc:
-        raise ScenarioValidationError(f"{args.log}: not a run log ({exc})") from None
+        event = getattr(exc, "event", None)
+        where = args.log if event is None else f"{args.log}:{_line_of(args.log, event)}"
+        raise ScenarioValidationError(f"{where}: not a run log ({exc})") from None
     if args.json:
         sys.stdout.write(report.to_json())
     else:

@@ -621,8 +621,7 @@ def build_world(scenario: Scenario, seed_override: int | None = None) -> World:
                 detail=stim.detail,
             )
             key = KEY_FAULT_REPORTED
-        world.send(key, payload, sender=stim.node, origin_node=stim.node,
-                   sent_at=stim.tick, deliver_at=stim.tick)
+        world.send(key, payload, sender=stim.node, origin_node=stim.node, deliver_at=stim.tick)
     return world
 
 
@@ -716,11 +715,10 @@ class RunReport:
 def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     """Derive the run report purely from the events of a run log: the
     world's events in ``run``, a saved log's decoded lines in ``ploop report``.
-    Each detail field read must have its JSON type, and a log holds one run:
-    a second ``run_started`` event is refused."""
-    scenario = ""
-    seed = 0
-    total_ticks = 0
+    A log holds one run: its first event is ``run_started``, no second one
+    follows, and its last event is ``run_finished``, whose tick is the run's
+    length. Each detail field read must have its JSON type; the error of one
+    that lacks it carries the event as ``event``, for a reader to find."""
     first_record_tick: int | None = None
     first_trigger_tick: int | None = None
     launch_times: list[LaunchTime] = []
@@ -731,41 +729,54 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     dropped = 0
     migrations = 0
 
-    started = False
-    for tick, kind, _, _, _, detail in events:
-        if kind == EVT_RUN_STARTED:
-            if started:
-                raise ScenarioValidationError(
-                    f"a second run_started event, at tick {tick}: a log holds one run")
-            started = True
-            scenario = _field(detail, "scenario", "a string", "", "run_started ")
-            seed = _field(detail, "seed", "an integer", 0, "run_started ")
-            total_ticks = _field(detail, "horizon", "an integer", 0, "run_started ")
-        elif kind == EVT_RUN_FINISHED:
-            total_ticks = tick
-        elif kind == EVT_KNOWLEDGE_INSERTED:
-            if first_record_tick is None:
-                first_record_tick = tick
-            for counts, key in ((by_mode, "mode"), (by_source, "source"),
-                                (by_activity, "activity")):
-                value = _field(detail, key, "a string", what="knowledge_inserted ")
-                counts[value] = counts.get(value, 0) + 1
-        elif kind == EVT_DESIGN_TRIGGER:
-            if first_trigger_tick is None:
-                first_trigger_tick = tick
-        elif kind == EVT_GENERATION_LAUNCHED:
-            launch_times.append(LaunchTime(
-                _field(detail, "family", "a string", what="generation_launched "),
-                _field(detail, "generation", "an integer", what="generation_launched "),
-                tick,
-            ))
-        elif kind == EVT_EOL_DECISION:
-            decision = _field(detail, "decision", "a string", what="eol_decision ")
-            eol_decisions[decision] = eol_decisions.get(decision, 0) + 1
-        elif kind == EVT_MESSAGE_DROPPED:
-            dropped += 1
-        elif kind == EVT_MIGRATION_COMPLETED:
-            migrations += 1
+    events = iter(events)
+    first = next(events, None)
+    if first is None:
+        raise ScenarioValidationError("no run_started line")
+    tick, kind, node, agent, msg_id, detail = first
+    if kind != EVT_RUN_STARTED:
+        raise ScenarioValidationError(f"the first event is {kind!r}, not run_started")
+    ended = False
+    try:
+        scenario = _field(detail, "scenario", "a string", "", "run_started ")
+        seed = _field(detail, "seed", "an integer", 0, "run_started ")
+        _field(detail, "horizon", "an integer", 0, "run_started ")
+        for tick, kind, node, agent, msg_id, detail in events:
+            if kind == EVT_KNOWLEDGE_INSERTED:
+                if first_record_tick is None:
+                    first_record_tick = tick
+                for counts, key in ((by_mode, "mode"), (by_source, "source"),
+                                    (by_activity, "activity")):
+                    value = _field(detail, key, "a string", what="knowledge_inserted ")
+                    counts[value] = counts.get(value, 0) + 1
+            elif kind == EVT_DESIGN_TRIGGER:
+                if first_trigger_tick is None:
+                    first_trigger_tick = tick
+            elif kind == EVT_GENERATION_LAUNCHED:
+                launch_times.append(LaunchTime(
+                    _field(detail, "family", "a string", what="generation_launched "),
+                    _field(detail, "generation", "an integer", what="generation_launched "),
+                    tick,
+                ))
+            elif kind == EVT_EOL_DECISION:
+                decision = _field(detail, "decision", "a string", what="eol_decision ")
+                eol_decisions[decision] = eol_decisions.get(decision, 0) + 1
+            elif kind == EVT_MESSAGE_DROPPED:
+                dropped += 1
+            elif kind == EVT_MIGRATION_COMPLETED:
+                migrations += 1
+            elif kind == EVT_RUN_STARTED:
+                break
+        else:
+            ended = True
+    except ScenarioValidationError as exc:
+        exc.event = LoggedEvent(tick, kind, node, agent, msg_id, detail)
+        raise
+    if not ended:
+        raise ScenarioValidationError(
+            f"a second run_started event, at tick {tick}: a log holds one run")
+    if kind != EVT_RUN_FINISHED:
+        raise ScenarioValidationError(f"the last event is {kind!r}, not run_finished")
 
     closure = None
     if first_trigger_tick is not None and first_record_tick is not None:
@@ -773,7 +784,7 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     return RunReport(
         scenario=scenario,
         seed=seed,
-        total_ticks=total_ticks,
+        total_ticks=tick,
         launch_times=tuple(sorted(launch_times, key=lambda lt: (lt.tick, lt.family, lt.generation))),
         loop_closure_latency=closure,
         knowledge_by_mode=dict(sorted(by_mode.items())),

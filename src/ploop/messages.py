@@ -67,25 +67,15 @@ Payload = Union[
 
 @dataclass(frozen=True)
 class Message:
-    """A routed payload in flight between agents.
-
-    Ids, timestamps, and the origin node are stamped by the runtime;
-    latency is never negative, so delivery cannot precede sending.
-    """
+    """A routed payload in flight between agents. The runtime stamps its
+    id, its delivery tick and its origin node; ``World.send`` logs the
+    sender and refuses a delivery tick before the clock."""
 
     msg_id: str
-    sender: str
     routing_key: str
     payload: Payload
-    sent_at: int
     deliver_at: int
     origin_node: str
-
-    def __post_init__(self) -> None:
-        if self.deliver_at < self.sent_at:
-            raise ValueError(
-                f"deliver_at {self.deliver_at} precedes sent_at {self.sent_at}"
-            )
 
 
 def payload_kind(payload: Payload) -> str:

@@ -196,8 +196,7 @@ def test_criterion_5_routing_oracle_equivalence():
                     for _ in range(rng.randint(1, 3))
                 )
                 message = Message(
-                    msg_id="m1", sender="t", routing_key=key,
-                    payload=None, sent_at=0, deliver_at=0, origin_node="n",
+                    msg_id="m1", routing_key=key, payload=None, deliver_at=0, origin_node="n",
                 )
                 assert route(message, table, directory, by_role, {}) \
                     == oracle(key, rules, directory)

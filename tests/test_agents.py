@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import random
 
 import pytest
@@ -11,8 +10,6 @@ from ploop.agents import (
     EmitKnowledge,
     SendMessage,
     UnhandledMessage,
-    UpdateMemory,
-    apply_memory,
     handle,
     plan_migration,
 )
@@ -39,13 +36,12 @@ from ploop.runtime import NodeKind, tick
 PID = mint_product_id("px-1", "urn:mfg:acme")
 
 
-def make_agent(role, agent_id="a-01", location="n1", itinerary=(), memory=None):
+def make_agent(role, agent_id="a-01", location="n1", itinerary=()):
     return AgentState(
         agent_id=agent_id,
         role=role,
         location=location,
         product_id=PID if role is AgentRole.PRODUCT else None,
-        memory=memory or {},
         itinerary=itinerary,
     )
 
@@ -54,8 +50,8 @@ TICK = 5
 
 
 def msg(payload, msg_id="m1", key="k"):
-    return Message(msg_id=msg_id, sender="t", routing_key=key, payload=payload,
-                   sent_at=4, deliver_at=5, origin_node="n1")
+    return Message(msg_id=msg_id, routing_key=key, payload=payload, deliver_at=5,
+                   origin_node="n1")
 
 
 def batch(category="use", n=1, note="steady"):
@@ -73,11 +69,10 @@ class TestAgentProduct:
         agent = make_agent(AgentRole.PRODUCT)
         assert handle(agent, msg(batch(n=0), "m1"), TICK) == []
 
-    def test_batch_updates_memory_and_emits_tacit(self):
+    def test_batch_emits_one_tacit_record(self):
         agent = make_agent(AgentRole.PRODUCT)
         effects = handle(agent, msg(batch(n=3), "m1"), TICK)
-        memory_updates = [e for e in effects if isinstance(e, UpdateMemory)]
-        assert memory_updates == [UpdateMemory("events_seen", 3)]
+        assert [type(e) for e in effects] == [EmitKnowledge]
         (record,) = emitted_records(effects)
         assert record.mode is KnowledgeMode.TACIT
         assert record.source is KnowledgeSource.SELF_SOURCE
@@ -87,7 +82,7 @@ class TestAgentProduct:
     def test_service_order_is_acknowledged(self):
         agent = make_agent(AgentRole.PRODUCT)
         effects = handle(agent, msg(ServiceOrder(PID, 1, "overheat"), "m1"), TICK)
-        assert effects == [UpdateMemory("service_orders_seen", 1)]
+        assert effects == []
 
     def test_feedback_is_unhandled(self):
         with pytest.raises(UnhandledMessage):
@@ -216,7 +211,7 @@ class TestPurityAndClosure:
     def test_handle_never_mutates_inputs_and_is_repeatable(self):
         for role in AgentRole:
             for payload in self.all_payloads():
-                agent = make_agent(role, memory={"k": 1})
+                agent = make_agent(role, itinerary=("n2",))
                 frozen = copy.deepcopy(agent)
                 try:
                     first = handle(agent, msg(payload), TICK)
@@ -252,17 +247,9 @@ class TestPurityAndClosure:
 
     def test_product_identity_is_pinned(self):
         state = make_agent(AgentRole.PRODUCT)
-        for effect in handle(state, msg(batch(n=2), "m1"), TICK):
-            if isinstance(effect, UpdateMemory):
-                state = apply_memory(state, effect.key, effect.value)
-        assert state.product_id == PID
-
-    def test_memory_update_changes_only_memory(self):
-        agent = make_agent(AgentRole.PRODUCT, location="n2", itinerary=("n3", "n1"),
-                           memory={"k": 1})
-        updated = apply_memory(agent, "events_seen", 4)
-        assert updated == dataclasses.replace(agent, memory={"k": 1, "events_seen": 4})
-        assert agent.memory == {"k": 1}
+        (effect,) = handle(state, msg(batch(n=2), "m1"), TICK)
+        assert isinstance(effect, EmitKnowledge)
+        assert effect.record.product_id == state.product_id == PID
 
 
 class TestPlanMigration:

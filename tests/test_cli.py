@@ -364,6 +364,18 @@ BAD_INPUTS = {
     "report: two runs in one log": (
         "report", STARTED + EVENT.format(1, "x", '""') + STARTED,
         ": not a run log (a second run_started event, at tick 0: a log holds one run)\n"),
+    "report: no run_finished line": (
+        "report", STARTED + EVENT.format(1, "x", '""'),
+        ": not a run log (the last event is 'x', not run_finished)\n"),
+    "report: run_started alone": (
+        "report", STARTED, ": not a run log (the last event is 'run_started', not run_finished)\n"),
+    # Line 2 is blank, and line 3 equals line 4 to == (generation 1, where
+    # line 4 has true): the refused line is found by what it holds, as written.
+    "report: a mistyped detail field names its line": (
+        "report", STARTED + "\n" + EVENT.format(2, "generation_launched", json.dumps(
+            '{"family":"f","generation":1}')) + EVENT.format(2, "generation_launched", json.dumps(
+            '{"family":"f","generation":true}')),
+        ":4: not a run log (generation_launched generation must be an integer, got bool)\n"),
     "report: not UTF-8": ("report", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     # Past the first 8 KB read, after events have already been decoded.
     "report: not UTF-8 after 8 KB": (
@@ -513,7 +525,7 @@ def test_report_mistyped_log_field_exits_1_naming_it(case, fixtures_dir, tmp_pat
         where = f":{at + 1}: not a log event"
     else:
         lines[at] = events[at]._replace(detail={**events[at].detail, key: value}).to_json_line()
-        where = ": not a run log"
+        where = f":{at + 1}: not a run log"
     path = tmp_path / "bad.events.jsonl"
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()

@@ -262,6 +262,22 @@ class TestRun:
         lines = (tmp_path / "closed_loop.repository.jsonl").read_text().splitlines()
         assert len(lines) == 9
 
+    def test_every_proper_prefix_of_a_run_log_is_refused(self, fixtures_dir, tmp_path,
+                                                         capsys):
+        result = run(load_scenario(fixtures_dir / "closed_loop.scn"))
+        events = result.world.events
+        for end in range(len(events)):
+            with pytest.raises(ScenarioValidationError):
+                compute_report(events[:end])
+        assert compute_report(events) == result.report
+        # ploop report on the first 30 of the log's 73 lines names what is missing.
+        log = tmp_path / "cut.events.jsonl"
+        log.write_text("".join(line + "\n" for line in result.log_lines[:30]))
+        assert len(events) == 73
+        assert main(["report", "--log", str(log)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {log}: not a run log (the last event is 'message_sent', not run_finished)\n")
+
 
 class TestCompare:
     def report(self, name="r", launch=None):

@@ -2,8 +2,10 @@
 
 The reference reads a log the plain way: a ``_loads`` call per text, one
 type test per envelope field, the NamedTuple constructor, and
-``strip``/``rstrip`` on every line, with the rule that a run log's first
-event is ``run_started``. For every input, ``ploop report`` (text and
+``strip``/``rstrip`` on every line, with the rules that a run log's first
+event is ``run_started`` and its last ``run_finished``, and it names the
+line of an event whose detail ``compute_report`` refuses by keeping the
+number of the line last read. For every input, ``ploop report`` (text and
 ``--json``) must give the same exit code, stdout and stderr as the
 reference: the logs of the five fixtures and the three golden scenarios,
 and a few hundred seeded mutations of them.
@@ -14,7 +16,6 @@ import io
 import json
 import random
 import tracemalloc
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from ploop.harness import (
     not_utf8,
     run,
 )
-from ploop.runtime import EVT_RUN_STARTED, LoggedEvent
+from ploop.runtime import EVT_RUN_FINISHED, EVT_RUN_STARTED, LoggedEvent
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted([*ROOT.glob("fixtures/*.scn"), *ROOT.glob("tests/golden/*.scn")])
@@ -81,31 +82,43 @@ def reference_log_events(path):
                 except ValueError as exc:
                     raise ScenarioParseError(
                         f"{path}:{number}: not a log event ({exc})") from None
-                yield event
+                yield number, event
     except OSError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from None
     except UnicodeDecodeError:
         raise ScenarioParseError(not_utf8(path)) from None
 
 
-def reference_run_log(path):
-    events = reference_log_events(path)
-    for event in events:
-        if event.event_kind != EVT_RUN_STARTED:
+class Unfinished(Exception):
+    """The reference's own last-event rule, apart from compute_report's."""
+
+
+def reference_run_log(path, line):
+    """The events of a saved log, refused unless the first is run_started
+    and the last run_finished; ``line[0]`` is the line of the last event read."""
+    kind = None
+    for number, event in reference_log_events(path):
+        if kind is None and event.event_kind != EVT_RUN_STARTED:
             raise ScenarioValidationError(
                 f"the first event is {event.event_kind!r}, not run_started")
-        return chain([event], events)
-    raise ScenarioValidationError("no run_started line")
+        line[0], kind = number, event.event_kind
+        yield event
+    if kind is None:
+        raise ScenarioValidationError("no run_started line")
+    if kind != EVT_RUN_FINISHED:
+        raise Unfinished(f"the last event is {kind!r}, not run_finished")
 
 
 def reference_report(path):
     """What ``ploop report --log path`` exits with and prints, as
     ``{flag: (code, stdout, stderr)}`` for the text and the --json form."""
+    line = [None]
     try:
         try:
-            report = compute_report(reference_run_log(path))
-        except ScenarioValidationError as exc:
-            raise ScenarioValidationError(f"{path}: not a run log ({exc})") from None
+            report = compute_report(reference_run_log(path, line))
+        except (ScenarioValidationError, Unfinished) as exc:
+            where = f"{path}:{line[0]}" if hasattr(exc, "event") else path
+            raise ScenarioValidationError(f"{where}: not a run log ({exc})") from None
     except (ScenarioParseError, ScenarioValidationError) as exc:
         failed = (1, "", f"error: {exc}\n")
         return {"": failed, "--json": failed}

@@ -61,13 +61,11 @@ PID2 = mint_product_id("px-2", "urn:mfg:acme")
 SCOPED = (SensorBatch, ServiceOrder, CustomerFeedback, FaultReported)
 
 
-def make_message(key, payload=None, msg_id="m000001", sent_at=0, deliver_at=1):
+def make_message(key, payload=None, msg_id="m000001", deliver_at=1):
     return Message(
         msg_id=msg_id,
-        sender="test",
         routing_key=key,
         payload=payload or CustomerFeedback(PID, 1, "x"),
-        sent_at=sent_at,
         deliver_at=deliver_at,
         origin_node="n1",
     )
@@ -584,9 +582,17 @@ class TestTick:
         for sender, ids in order.items():
             assert [m for m in delivered if sender_of[m] == sender] == ids
 
-    def test_causality_validated_at_construction(self):
-        with pytest.raises(ValueError):
-            make_message("k", sent_at=5, deliver_at=4)
+    def test_send_refuses_delivery_before_the_clock(self):
+        world = World()
+        world.register_node(NodeKind.CUSTOMER_SITE, "n1")
+        for _ in range(5):
+            tick(world)
+        logged = len(world.events)
+        with pytest.raises(SimulationError):
+            world.send("k", CustomerFeedback(PID, 1, "x"), "t", "n1", deliver_at=4)
+        assert len(world.events) == logged and world._pending == []
+        assert world.send("k", CustomerFeedback(PID, 1, "x"), "t", "n1",
+                          deliver_at=5).deliver_at == 5
 
     def test_partitioned_delivery_is_blocked_and_logged(self):
         world = World(
@@ -643,7 +649,7 @@ class TestTick:
                            (NodeKind.CUSTOMER_SITE, "n3")):
             world.register_node(kind, node)
         world.spawn_agent(AgentRole.PRODUCT, "n1", product_id=PID, agent_id="ap-01",
-                          memory={"seen": 3}, itinerary=("n2", "n2", "n3"))
+                          itinerary=("n2", "n2", "n3"))
         before = world.agents["ap-01"]
         tick(world)   # leaves for n2
         assert [e.event_kind for e in tick(world)][0] == EVT_MIGRATION_COMPLETED
@@ -820,8 +826,6 @@ class TestWorldRules:
                    deliver_at=1)
         delivered = [e.agent for e in tick(world) if e.event_kind == EVT_MESSAGE_DELIVERED]
         assert delivered == ["ap-02"]
-        assert world.agents["ap-02"].memory == {"service_orders_seen": 1}
-        assert world.agents["ap-01"].memory == {}
 
     def test_batch_for_agent_in_flight_is_dropped_once(self):
         world = World(
@@ -849,7 +853,8 @@ class TestWorldRules:
         assert EVT_KNOWLEDGE_INSERTED not in kinds
         assert EVT_MESSAGE_DELIVERED not in kinds
         assert world.agents["ap-01"].location == "garage"
-        assert compute_report(world.events).dropped_messages == 1
+        run_log = [LoggedEvent(0, "run_started"), *world.events, LoggedEvent(5, "run_finished")]
+        assert compute_report(run_log).dropped_messages == 1
 
     def test_event_log_line_shape(self):
         world = World()
