@@ -34,7 +34,7 @@ except MalformedSerial as exc:
 
 # --- the embedded device log -------------------------------------------------
 
-peid = PEID(product_id=pid, memory={"model": "PX-100", "battery_wh": 48})
+peid = PEID(product_id=pid)
 for t, (sensor, value, unit) in enumerate([
     ("temp", 31.0, "C"),
     ("temp", 55.5, "C"),

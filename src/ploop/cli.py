@@ -4,11 +4,11 @@ Subcommands: run, validate, report, compare. Exit codes: 0 on success
 (and for ``--help``); 1 on bad input: a usage error (an unknown or
 missing argument, a ``--seed`` that is not an integer, no subcommand), a
 scenario, log or report that does not parse or validate (a log that does
-not run from ``run_started`` to ``run_finished``, or holds two runs, is
-not a run log; a mistyped detail field is named with its line), or an
-output directory ``run`` cannot write; 2 on internal invariant
-violations. Results go to stdout and to the files ``run`` writes; a
-failed command writes its message to stderr.
+not run from ``run_started`` to ``run_finished``, holds two runs or
+holds a mistyped detail field is not a run log, and ``report`` names the
+line of the event it refuses), or an output directory ``run`` cannot
+write; 2 on internal invariant violations. Results go to stdout and to
+the files ``run`` writes; a failed command writes its message to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import suppress
 from dataclasses import asdict
 from typing import Iterator, NoReturn
 
@@ -62,47 +61,38 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _log_events(path: str) -> Iterator[LoggedEvent]:
-    """Each non-blank line of a saved log, read and decoded one at a time.
-    A line goes to the decoder as it is, less its ``"\n"``; only a line
-    that fails to decode is tested for blankness, and skipped if blank. An
-    unreadable or non-UTF-8 file is a parse error, and a non-UTF-8 one
-    names the line and the offset of its first bad byte."""
+def _log_events(path: str, at: list[int]) -> Iterator[LoggedEvent]:
+    """Each non-blank line of a saved log, read and decoded one at a time;
+    ``at[0]`` is set to the number of each line before it is yielded, so a
+    reader's refusal can name it. A line goes to the decoder as it is, less
+    its ``"\n"``; only a line that fails to decode is tested for blankness,
+    and skipped if blank. An unreadable or non-UTF-8 file is a parse error,
+    and a non-UTF-8 one names the line and the offset of its first bad byte."""
     try:
         with open(path, encoding="utf-8") as lines:
             decode = LoggedEvent.from_json_line
             for number, line in enumerate(lines, 1):
                 try:
-                    yield decode(line[:-1] if line[-1] == "\n" else line)
+                    event = decode(line[:-1] if line[-1] == "\n" else line)
                 except ValueError as exc:
                     if line.strip():
                         raise ScenarioParseError(
                             f"{path}:{number}: not a log event ({exc})") from None
+                    continue
+                at[0] = number
+                yield event
     except OSError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from None
     except UnicodeDecodeError:
         raise ScenarioParseError(not_utf8(path)) from None
 
 
-def _line_of(path: str, event: LoggedEvent) -> int:
-    """The line of an event ``compute_report`` refused, read again: the first
-    line that reads as ``event``, compared as written (a bool is not 1); an
-    equal event on an earlier line would have been refused first."""
-    wanted = event.to_json_line()
-    with open(path, encoding="utf-8") as lines:
-        for number, line in enumerate(lines, 1):
-            with suppress(ValueError):
-                if LoggedEvent.from_json_line(line.rstrip("\n")).to_json_line() == wanted:
-                    return number
-    raise AssertionError("unreachable: the event was read from this log")
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
+    at = [0]   # the line last read; 0 until one is
     try:
-        report = compute_report(_log_events(args.log))
+        report = compute_report(_log_events(args.log, at))
     except ScenarioValidationError as exc:
-        event = getattr(exc, "event", None)
-        where = args.log if event is None else f"{args.log}:{_line_of(args.log, event)}"
+        where = f"{args.log}:{at[0]}" if at[0] else args.log
         raise ScenarioValidationError(f"{where}: not a run log ({exc})") from None
     if args.json:
         sys.stdout.write(report.to_json())

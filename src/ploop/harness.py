@@ -24,6 +24,7 @@ from .identity import (
     IntelligenceChannel,
     IntelligenceGranularity,
     IntelligenceLocation,
+    PEID,
     PEIDCapability,
     SensorEvent,
     mint_product_id,
@@ -102,12 +103,8 @@ class ProductDecl:
     node: str
     components: tuple[ComponentCondition, ...] = ()
     capabilities: tuple[PEIDCapability, ...] = tuple(PEIDCapability)
-    memory: dict[str, Any] = field(default_factory=dict)
+    memory: dict[str, Any] = field(default_factory=dict)   # saved; the engine never reads it
     intelligence_location: IntelligenceLocation | None = None
-
-    @property
-    def rendered_id(self) -> str:
-        return f"{self.serial}@{self.uri}"
 
 
 @dataclass(frozen=True)
@@ -288,6 +285,9 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         _unknown_keys(doc, _SCENARIO_KEYS, "scenario")
     name = doc.get("name")
     _require(isinstance(name, str) and bool(name), "scenario name must be a non-empty string")
+    # The run files are named after it, inside the output directory.
+    _require(not any(c in name for c in "/\\\0"),
+             "scenario name {!r} must be a file name, without '/', '\\' or NUL", name)
     seed = _field(doc, "seed", "an integer", 0)
     _require(seed >= 0, "seed must be a non-negative integer")
     horizon = _field(doc, "horizon", "an integer")
@@ -308,14 +308,20 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     successors: dict[str, str] = {}   # next generation's id -> its parent product
     for raw in _entries(doc, "products", known=_PRODUCT_KEYS):
         serial = _field(raw, "serial", "a string", what="product ")
-        uri = _field(raw, "uri", "a string", what=f"product {serial!r}: ")
+        what = f"product {serial!r}: "
+        uri = _field(raw, "uri", "a string", what=what)
+        capabilities = tuple(
+            _enum_value(PEIDCapability, c, f"product {serial!r} capability")
+            for c in _field(raw, "capabilities", "a list", [m.value for m in PEIDCapability], what)
+        )
         try:
             product_id = mint_product_id(serial, uri)
+            PEID(product_id, capabilities)   # the device's own rules
         except ValueError as exc:
-            raise ScenarioValidationError(f"product {serial!r}: {exc}") from None
+            raise ScenarioValidationError(f"{what}{exc}") from None
+        rendered = product_id.render()
         node = raw.get("node")
         _require(_known(node, node_ids), "product {!r} references unknown node {!r}", serial, node)
-        what = f"product {serial!r}: "
         generation = _field(raw, "generation", "an integer", 1, what)
         _require(generation >= 1, "{}generation must be an integer >= 1", what)
         components = []
@@ -324,10 +330,6 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                 components.append(_build(ComponentCondition, c, f"{what}component "))
             except ValueError as exc:
                 raise ScenarioValidationError(f"product {serial!r} component: {exc}") from None
-        capabilities = tuple(
-            _enum_value(PEIDCapability, c, f"product {serial!r} capability")
-            for c in _field(raw, "capabilities", "a list", [m.value for m in PEIDCapability], what)
-        )
         meta_raw = raw.get("intelligence_location")
         location_meta = None
         if meta_raw is not None:
@@ -351,10 +353,10 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             memory=dict(_field(raw, "memory", "an object", {}, what)),
             intelligence_location=location_meta,
         )
-        _require(decl.rendered_id not in product_ids, "duplicate product {!r}", decl.rendered_id)
-        product_ids.add(decl.rendered_id)
+        _require(rendered not in product_ids, "duplicate product {!r}", rendered)
+        product_ids.add(rendered)
         products.append(decl)
-        successors[next_generation_id(product_id, generation + 1).render()] = decl.rendered_id
+        successors[next_generation_id(product_id, generation + 1).render()] = rendered
     for successor, parent in successors.items():
         _require(successor not in product_ids, "product {!r} takes the id that the next "
                  "generation of product {!r} starts under", successor, parent)
@@ -541,7 +543,12 @@ def load_json(path: Path | str) -> Any:
 
 
 def load_scenario(path: Path | str) -> Scenario:
-    return scenario_from_dict(load_json(path))
+    """The scenario in a file; an error names the file first."""
+    raw = load_json(path)
+    try:
+        return scenario_from_dict(raw)
+    except ScenarioValidationError as exc:
+        raise ScenarioValidationError(f"{path}: {exc}") from None
 
 
 def save_scenario(scenario: Scenario, path: Path | str) -> None:
@@ -574,7 +581,6 @@ def build_world(scenario: Scenario, seed_override: int | None = None) -> World:
             phase=decl.phase,
             components=decl.components,
             capabilities=decl.capabilities,
-            memory=decl.memory,
             node=decl.node,
             location_meta=decl.intelligence_location,
         )
@@ -717,8 +723,9 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     world's events in ``run``, a saved log's decoded lines in ``ploop report``.
     A log holds one run: its first event is ``run_started``, no second one
     follows, and its last event is ``run_finished``, whose tick is the run's
-    length. Each detail field read must have its JSON type; the error of one
-    that lacks it carries the event as ``event``, for a reader to find."""
+    length. Each detail field read must have its JSON type. Each rule is
+    checked as its event is read, the last after the last one, so a reader
+    that counts the lines it yields can name the line refused."""
     first_record_tick: int | None = None
     first_trigger_tick: int | None = None
     launch_times: list[LaunchTime] = []
@@ -733,48 +740,39 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     first = next(events, None)
     if first is None:
         raise ScenarioValidationError("no run_started line")
-    tick, kind, node, agent, msg_id, detail = first
+    tick, kind, _, _, _, detail = first
     if kind != EVT_RUN_STARTED:
         raise ScenarioValidationError(f"the first event is {kind!r}, not run_started")
-    ended = False
-    try:
-        scenario = _field(detail, "scenario", "a string", "", "run_started ")
-        seed = _field(detail, "seed", "an integer", 0, "run_started ")
-        _field(detail, "horizon", "an integer", 0, "run_started ")
-        for tick, kind, node, agent, msg_id, detail in events:
-            if kind == EVT_KNOWLEDGE_INSERTED:
-                if first_record_tick is None:
-                    first_record_tick = tick
-                for counts, key in ((by_mode, "mode"), (by_source, "source"),
-                                    (by_activity, "activity")):
-                    value = _field(detail, key, "a string", what="knowledge_inserted ")
-                    counts[value] = counts.get(value, 0) + 1
-            elif kind == EVT_DESIGN_TRIGGER:
-                if first_trigger_tick is None:
-                    first_trigger_tick = tick
-            elif kind == EVT_GENERATION_LAUNCHED:
-                launch_times.append(LaunchTime(
-                    _field(detail, "family", "a string", what="generation_launched "),
-                    _field(detail, "generation", "an integer", what="generation_launched "),
-                    tick,
-                ))
-            elif kind == EVT_EOL_DECISION:
-                decision = _field(detail, "decision", "a string", what="eol_decision ")
-                eol_decisions[decision] = eol_decisions.get(decision, 0) + 1
-            elif kind == EVT_MESSAGE_DROPPED:
-                dropped += 1
-            elif kind == EVT_MIGRATION_COMPLETED:
-                migrations += 1
-            elif kind == EVT_RUN_STARTED:
-                break
-        else:
-            ended = True
-    except ScenarioValidationError as exc:
-        exc.event = LoggedEvent(tick, kind, node, agent, msg_id, detail)
-        raise
-    if not ended:
-        raise ScenarioValidationError(
-            f"a second run_started event, at tick {tick}: a log holds one run")
+    scenario = _field(detail, "scenario", "a string", "", "run_started ")
+    seed = _field(detail, "seed", "an integer", 0, "run_started ")
+    _field(detail, "horizon", "an integer", 0, "run_started ")
+    for tick, kind, _, _, _, detail in events:
+        if kind == EVT_KNOWLEDGE_INSERTED:
+            if first_record_tick is None:
+                first_record_tick = tick
+            for counts, key in ((by_mode, "mode"), (by_source, "source"),
+                                (by_activity, "activity")):
+                value = _field(detail, key, "a string", what="knowledge_inserted ")
+                counts[value] = counts.get(value, 0) + 1
+        elif kind == EVT_DESIGN_TRIGGER:
+            if first_trigger_tick is None:
+                first_trigger_tick = tick
+        elif kind == EVT_GENERATION_LAUNCHED:
+            launch_times.append(LaunchTime(
+                _field(detail, "family", "a string", what="generation_launched "),
+                _field(detail, "generation", "an integer", what="generation_launched "),
+                tick,
+            ))
+        elif kind == EVT_EOL_DECISION:
+            decision = _field(detail, "decision", "a string", what="eol_decision ")
+            eol_decisions[decision] = eol_decisions.get(decision, 0) + 1
+        elif kind == EVT_MESSAGE_DROPPED:
+            dropped += 1
+        elif kind == EVT_MIGRATION_COMPLETED:
+            migrations += 1
+        elif kind == EVT_RUN_STARTED:
+            raise ScenarioValidationError(
+                f"a second run_started event, at tick {tick}: a log holds one run")
     if kind != EVT_RUN_FINISHED:
         raise ScenarioValidationError(f"the last event is {kind!r}, not run_finished")
 

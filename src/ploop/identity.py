@@ -9,9 +9,8 @@ else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping
 from urllib.parse import urlparse
 
 
@@ -154,8 +153,8 @@ class SensorEvent:
 
 @dataclass(frozen=True)
 class PEID:
-    """Product-embedded information device: identity, capability set,
-    self-descriptive memory, and an append-only sensor event log.
+    """Product-embedded information device: identity, capability set, and
+    an append-only sensor event log.
 
     The capability set must include UniqueID; a device without identity is
     unconstructible. Event log timestamps are non-decreasing.
@@ -163,7 +162,6 @@ class PEID:
 
     product_id: ProductID
     capabilities: frozenset[PEIDCapability] = ALL_CAPABILITIES
-    memory: Mapping[str, Any] = field(default_factory=dict)
     event_log: tuple[SensorEvent, ...] = ()
 
     def __post_init__(self) -> None:

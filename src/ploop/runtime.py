@@ -429,7 +429,7 @@ class ProductState:
     phase: LifecyclePhase
     peid: PEID
     components: tuple[ComponentCondition, ...] = ()
-    node: str | None = None
+    node: str = ""   # as logged: "" for none
 
     @property
     def key(self) -> str:
@@ -503,8 +503,6 @@ class World:
         self._pending: list[tuple[int, int, Message]] = []
         self._actions: list[tuple[int, int, Action]] = []
         self._msg_seq = 0
-        self._node_seq = 0
-        self._agent_seq = 0
         self._action_seq = 0
 
     # -- event log --------------------------------------------------------
@@ -517,10 +515,7 @@ class World:
 
     # -- registration -----------------------------------------------------
 
-    def register_node(self, kind: NodeKind, node_id: str | None = None) -> str:
-        if node_id is None:
-            self._node_seq += 1
-            node_id = f"node-{self._node_seq:04d}"
+    def register_node(self, kind: NodeKind, node_id: str) -> str:
         if node_id in self.nodes:
             raise SimulationError(f"node id already registered: {node_id!r}")
         self.nodes.add(node_id)
@@ -534,13 +529,12 @@ class World:
         phase: LifecyclePhase,
         components: tuple[ComponentCondition, ...] = (),
         capabilities: Iterable[PEIDCapability] | None = None,
-        memory: Mapping[str, Any] | None = None,
-        node: str | None = None,
+        node: str = "",
         family: str | None = None,
         location_meta: IntelligenceLocation | None = None,
     ) -> ProductState:
         caps = frozenset(capabilities) if capabilities is not None else frozenset(PEIDCapability)
-        peid = PEID(product_id=product_id, capabilities=caps, memory=dict(memory or {}))
+        peid = PEID(product_id=product_id, capabilities=caps)
         state = ProductState(
             product_id=product_id,
             family=family or product_id.render(),
@@ -552,7 +546,7 @@ class World:
         )
         if state.key in self.products:
             raise SimulationError(f"product already registered: {state.key!r}")
-        if node is not None and node not in self.nodes:
+        if node and node not in self.nodes:
             raise UnknownNode(f"product node {node!r} is not registered")
         self.products[state.key] = state
         detail = {
@@ -564,7 +558,7 @@ class World:
         if location_meta is not None:
             detail["channel"] = location_meta.channel.value
             detail["granularity"] = location_meta.granularity.value
-        self.log(EVT_PRODUCT_REGISTERED, node=node or "", detail=detail)
+        self.log(EVT_PRODUCT_REGISTERED, node=node, detail=detail)
         return state
 
     def spawn_agent(
@@ -573,16 +567,14 @@ class World:
         home: str,
         product_id: ProductID | None = None,
         itinerary: tuple[str, ...] = (),
-        agent_id: str | None = None,
+        *,
+        agent_id: str,
     ) -> str:
         if home not in self.nodes:
             raise UnknownNode(f"home node {home!r} is not registered")
         for stop in itinerary:
             if stop not in self.nodes:
                 raise UnknownNode(f"itinerary node {stop!r} is not registered")
-        if agent_id is None:
-            self._agent_seq += 1
-            agent_id = f"agent-{self._agent_seq:04d}"
         if agent_id in self.agents:
             raise SimulationError(f"agent id already registered: {agent_id!r}")
         state = AgentState(
@@ -780,7 +772,7 @@ def _run_due_actions(world: World) -> None:
 def _refuse(world: World, product: ProductState, event: LifecycleEvent, phase: str) -> None:
     world.log(
         EVT_LIFECYCLE_REFUSED,
-        node=product.node or "",
+        node=product.node,
         detail={
             "family": product.family,
             "generation": product.generation,
@@ -798,7 +790,7 @@ def _advance_product(world: World, product: ProductState, event: LifecycleEvent)
         return False
     world.log(
         EVT_LIFECYCLE_ADVANCED,
-        node=product.node or "",
+        node=product.node,
         detail={
             "family": product.family,
             "generation": product.generation,
@@ -823,7 +815,7 @@ def _apply_action(world: World, action: Action) -> None:
             return
         world.log(
             EVT_EOL_DECISION,
-            node=product.node or "",
+            node=product.node,
             detail={
                 "family": product.family,
                 "generation": product.generation,
@@ -912,7 +904,7 @@ def _world_rules(world: World, message: Message) -> None:
             except NonMonotonicTime as exc:
                 world.log(
                     EVT_PEID_REFUSED,
-                    node=product.node or "",
+                    node=product.node,
                     msg_id=message.msg_id,
                     detail={"family": product.family, "reason": str(exc)},
                 )

@@ -117,14 +117,15 @@ def test_criterion_3_migration_conservation_fuzz():
 
     with criterion(3, "migration conservation", 30.0):
         for _ in range(10):
-            world.spawn_agent(AgentRole.SERVICE, rng.choice(nodes))
             spawned += 1
+            world.spawn_agent(AgentRole.SERVICE, rng.choice(nodes), agent_id=f"agent-{spawned:04d}")
         operations = 0
         while operations < 10_000:
             roll = rng.random()
             if roll < 0.1 and spawned < 80:
-                world.spawn_agent(AgentRole.SERVICE, rng.choice(nodes))
                 spawned += 1
+                world.spawn_agent(AgentRole.SERVICE, rng.choice(nodes),
+                                  agent_id=f"agent-{spawned:04d}")
             elif roll < 0.75:
                 try:
                     migrate(world, rng.choice(sorted(world.agents)),

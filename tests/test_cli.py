@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -298,7 +299,7 @@ def test_declared_next_generation_id_exits_1_naming_both(
     code = main([command, "--scenario", str(path), *args])
     err = capsys.readouterr().err
     assert code == 1, err
-    assert err == ("error: product 'px-100-g2@urn:mfg:acme' takes the id that the next "
+    assert err == (f"error: {path}: product 'px-100-g2@urn:mfg:acme' takes the id that the next "
                    "generation of product 'px-100@urn:mfg:acme' starts under\n")
 
 
@@ -337,8 +338,33 @@ def test_no_single_leaf_mutation_exits_2(fixtures_dir, tmp_path, capsys):
 EVENT = ('{{"tick":{},"event_kind":"{}","node":"","agent":"","msg_id":"",'
          '"detail":{}}}\n')
 STARTED = EVENT.format(0, "run_started", '"{}"')
+FINISHED = EVENT.format(9, "run_finished", '"{}"')
 # Nesting deep enough that json.loads raises RecursionError.
 DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _closed_loop(*path_and_value):
+    """closed_loop.scn's text with one field set."""
+    doc = json.loads((ROOT / "fixtures" / "closed_loop.scn").read_text())
+    _set(*path_and_value)(doc)
+    return json.dumps(doc)
+
+
+# Each case: a field of closed_loop.scn set so that ``validate`` and ``run``
+# refuse it, and the part of the error message that names it.
+SCENARIO_REFUSALS = {
+    "no capabilities": (("products", 0, "capabilities", []),
+                        ": product 'px-100': PEID capabilities must include UniqueID\n"),
+    "capabilities without UniqueID": (
+        ("products", 0, "capabilities", ["Communication"]),
+        ": product 'px-100': PEID capabilities must include UniqueID\n"),
+    "name climbs out of --out": (
+        ("name", "../escaped"),
+        ": scenario name '../escaped' must be a file name, without '/', '\\' or NUL\n"),
+    "name holds NUL": (("name", "a\0b"), ": scenario name 'a\\x00b' must be a file name"),
+    "name names a subdirectory": (("name", "sub/x"), ": scenario name 'sub/x' must be"),
+    "name holds a backslash": (("name", "sub\\x"), ": scenario name 'sub\\\\x' must be"),
+}
 
 # Each case: the command, the file it reads, and the part of the error
 # message that says what is wrong with it.
@@ -347,7 +373,7 @@ BAD_INPUTS = {
     "report: a line has no event_kind": ("report", '{"tick":0}\n', ":1: not a log event"),
     "report: a line is a list": ("report", STARTED + "[]\n", ":2: not a log event"),
     "report: a record detail lacks mode": (
-        "report", STARTED + EVENT.format(3, "knowledge_inserted", '"{}"'), "not a run log"),
+        "report", STARTED + EVENT.format(3, "knowledge_inserted", '"{}"'), ":2: not a run log"),
     "report: a line nests too deeply": ("report", STARTED + DEEP + "\n",
                                         ":2: not a log event (a log line nests too deeply"),
     "report: a detail nests too deeply": (
@@ -356,21 +382,22 @@ BAD_INPUTS = {
     "report: empty file": ("report", "", ": not a run log (no run_started line)\n"),
     "report: no run_started line": (
         "report", EVENT.format(1, "x", '""') * 3,
-        ": not a run log (the first event is 'x', not run_started)\n"),
+        ":1: not a run log (the first event is 'x', not run_started)\n"),
     "report: run_started is not the first event": (
         "report", EVENT.format(0, "x", '""') + STARTED,
-        ": not a run log (the first event is 'x', not run_started)\n"),
+        ":1: not a run log (the first event is 'x', not run_started)\n"),
     # Two saved logs concatenated.
     "report: two runs in one log": (
         "report", STARTED + EVENT.format(1, "x", '""') + STARTED,
-        ": not a run log (a second run_started event, at tick 0: a log holds one run)\n"),
+        ":3: not a run log (a second run_started event, at tick 0: a log holds one run)\n"),
     "report: no run_finished line": (
         "report", STARTED + EVENT.format(1, "x", '""'),
-        ": not a run log (the last event is 'x', not run_finished)\n"),
+        ":2: not a run log (the last event is 'x', not run_finished)\n"),
     "report: run_started alone": (
-        "report", STARTED, ": not a run log (the last event is 'run_started', not run_finished)\n"),
+        "report", STARTED,
+        ":1: not a run log (the last event is 'run_started', not run_finished)\n"),
     # Line 2 is blank, and line 3 equals line 4 to == (generation 1, where
-    # line 4 has true): the refused line is found by what it holds, as written.
+    # line 4 has true): the line named is the one read, not one equal to it.
     "report: a mistyped detail field names its line": (
         "report", STARTED + "\n" + EVENT.format(2, "generation_launched", json.dumps(
             '{"family":"f","generation":1}')) + EVENT.format(2, "generation_launched", json.dumps(
@@ -386,6 +413,9 @@ BAD_INPUTS = {
     "run: not UTF-8": ("run", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     "compare: not UTF-8": ("compare", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     "compare: nests too deeply": ("compare", DEEP, "nests too deeply"),
+    **{f"{command}: {case}": (command, _closed_loop(*change), message)
+       for command in ("validate", "run")
+       for case, (change, message) in SCENARIO_REFUSALS.items()},
 }
 
 
@@ -397,13 +427,87 @@ def test_bad_input_file_exits_1_naming_it(case, tmp_path, capsys):
     argv = {
         "report": ["report", "--log", str(path)],
         "validate": ["validate", "--scenario", str(path)],
-        "run": ["run", "--scenario", str(path), "--out", str(tmp_path)],
+        "run": ["run", "--scenario", str(path), "--out", str(tmp_path / "out" / "run")],
         "compare": ["compare", "--a", str(path), "--b", str(path)],
     }[command]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith(f"error: {path}") and message in err
+    # A refused command writes nothing, inside --out or beside it.
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# Each case: a run log after two blank lines, the line its refusal names
+# (blank lines count; None names the file alone), and the rule it breaks.
+# Each case ends with blank lines too; they are not the last line read.
+RUN_LOG_REFUSALS = {
+    "only blank lines": ("", None, "no run_started line"),
+    "first event is not run_started": (
+        EVENT.format(0, "x", '""') + STARTED + FINISHED, 3,
+        "the first event is 'x', not run_started"),
+    "a second run_started": (
+        STARTED + "\n" + EVENT.format(1, "x", '""') + STARTED + FINISHED, 6,
+        "a second run_started event, at tick 0: a log holds one run"),
+    "last event is not run_finished": (
+        STARTED + EVENT.format(1, "x", '""') + "\n" + EVENT.format(2, "y", '""'), 6,
+        "the last event is 'y', not run_finished"),
+    "mistyped detail": (
+        STARTED + EVENT.format(3, "eol_decision", json.dumps('{"decision":1}')) + FINISHED, 4,
+        "eol_decision decision must be a string, got int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_LOG_REFUSALS))
+def test_report_refusal_names_its_line_counting_blank_lines(case, tmp_path, capsys):
+    text, line, rule = RUN_LOG_REFUSALS[case]
+    path = tmp_path / "x.events.jsonl"
+    path.write_text("\n \n" + text + "\n\n")
+    where = path if line is None else f"{path}:{line}"
+    assert main(["report", "--log", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {where}: not a run log ({rule})\n"
+
+
+# Each field of a fixture, objects and lists included, is set to each of
+# these: values of the wrong JSON kind, and strings that are no file name.
+FIELD_VALUES = (None, True, 0, -1, 2.5, "", "\0", "../x", "a\\b", "zz", [], {},
+                ["Communication"])
+
+
+def _field_paths(node, path=()):
+    """The key path of every value inside a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield path + (key,)
+            yield from _field_paths(child, path + (key,))
+
+
+def test_no_field_mutation_exits_2_or_writes_outside_out(fixtures_dir, tmp_path, capsys):
+    """Every field of partition.scn set to each of FIELD_VALUES, then 300
+    seeded draws of a field of another fixture and a value: neither
+    ``validate`` nor ``run`` exits 2, and ``run`` writes only inside --out."""
+    texts = {path.stem: path.read_text() for path in sorted(fixtures_dir.glob("*.scn"))}
+    cases = [("partition", key, value)
+             for key in _field_paths(json.loads(texts["partition"])) for value in FIELD_VALUES]
+    others = [(name, key) for name in sorted(texts) if name != "partition"
+              for key in _field_paths(json.loads(texts[name]))]
+    rng = random.Random(17)
+    cases += [(*rng.choice(others), rng.choice(FIELD_VALUES)) for _ in range(300)]
+    path, out = tmp_path / "mutant.scn", tmp_path / "out"
+    internal = []
+    for name, key, value in cases:
+        doc = json.loads(texts[name])
+        _set(*key, value)(doc)
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", "--scenario", str(path)],
+                     ["run", "--scenario", str(path), "--out", str(out)]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            if code not in (0, 1):
+                internal.append((name, key, value, argv[0], err))
+    assert internal == []
+    assert sorted(tmp_path.iterdir()) == [path, out]
 
 
 def _drop(key):

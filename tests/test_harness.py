@@ -276,7 +276,8 @@ class TestRun:
         assert len(events) == 73
         assert main(["report", "--log", str(log)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {log}: not a run log (the last event is 'message_sent', not run_finished)\n")
+            f"error: {log}:30: not a run log "
+            "(the last event is 'message_sent', not run_finished)\n")
 
 
 class TestCompare:

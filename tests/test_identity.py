@@ -114,11 +114,11 @@ class TestPEIDLog:
 
     def test_append_equals_direct_construction(self):
         base = PEID(product_id=mint_product_id("p1", "urn:x"),
-                    capabilities=LEVEL1_CAPABILITIES, memory={"k": 1})
+                    capabilities=LEVEL1_CAPABILITIES)
         first, second = SensorEvent("temp", 21.0, "C", 2), SensorEvent("rpm", 9.0, "Hz", 2)
         peid = record_event(record_event(base, first), second)
         assert peid == PEID(product_id=base.product_id, capabilities=LEVEL1_CAPABILITIES,
-                            memory={"k": 1}, event_log=(first, second))
+                            event_log=(first, second))
 
     def test_negative_sim_time_rejected(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ The reference reads a log the plain way: a ``_loads`` call per text, one
 type test per envelope field, the NamedTuple constructor, and
 ``strip``/``rstrip`` on every line, with the rules that a run log's first
 event is ``run_started`` and its last ``run_finished``, and it names the
-line of an event whose detail ``compute_report`` refuses by keeping the
-number of the line last read. For every input, ``ploop report`` (text and
-``--json``) must give the same exit code, stdout and stderr as the
+line of every refused log by keeping the number of the line last read, or
+names the file alone when it read none. For every input, ``ploop report``
+(text and ``--json``) must give the same exit code, stdout and stderr as the
 reference: the logs of the five fixtures and the three golden scenarios,
 and a few hundred seeded mutations of them.
 """
@@ -89,24 +89,21 @@ def reference_log_events(path):
         raise ScenarioParseError(not_utf8(path)) from None
 
 
-class Unfinished(Exception):
-    """The reference's own last-event rule, apart from compute_report's."""
-
-
 def reference_run_log(path, line):
     """The events of a saved log, refused unless the first is run_started
     and the last run_finished; ``line[0]`` is the line of the last event read."""
     kind = None
     for number, event in reference_log_events(path):
+        line[0] = number
         if kind is None and event.event_kind != EVT_RUN_STARTED:
             raise ScenarioValidationError(
                 f"the first event is {event.event_kind!r}, not run_started")
-        line[0], kind = number, event.event_kind
+        kind = event.event_kind
         yield event
     if kind is None:
         raise ScenarioValidationError("no run_started line")
     if kind != EVT_RUN_FINISHED:
-        raise Unfinished(f"the last event is {kind!r}, not run_finished")
+        raise ScenarioValidationError(f"the last event is {kind!r}, not run_finished")
 
 
 def reference_report(path):
@@ -116,8 +113,8 @@ def reference_report(path):
     try:
         try:
             report = compute_report(reference_run_log(path, line))
-        except (ScenarioValidationError, Unfinished) as exc:
-            where = f"{path}:{line[0]}" if hasattr(exc, "event") else path
+        except ScenarioValidationError as exc:
+            where = path if line[0] is None else f"{path}:{line[0]}"
             raise ScenarioValidationError(f"{where}: not a run log ({exc})") from None
     except (ScenarioParseError, ScenarioValidationError) as exc:
         failed = (1, "", f"error: {exc}\n")

@@ -138,23 +138,6 @@ def random_key(rng):
 
 
 class TestRegisterNode:
-    def test_one_of_each_kind(self):
-        world = World()
-        for kind in NodeKind:
-            world.register_node(kind)
-        assert len(world.nodes) == 5
-
-    def test_same_kind_twice_gives_distinct_ids(self):
-        world = World()
-        a = world.register_node(NodeKind.MANUFACTURER)
-        b = world.register_node(NodeKind.MANUFACTURER)
-        assert a != b
-
-    def test_thousand_registrations_all_distinct(self):
-        world = World()
-        ids = [world.register_node(NodeKind.CUSTOMER_SITE) for _ in range(1000)]
-        assert len(set(ids)) == 1000
-
     def test_explicit_duplicate_id_rejected(self):
         world = World()
         world.register_node(NodeKind.MANUFACTURER, "hub")
@@ -318,16 +301,18 @@ class TestMigration:
     def test_census_conservation_under_random_operations(self):
         rng = random.Random(9090)
         world = World(latency=LatencyMap(default=2))
-        nodes = [world.register_node(NodeKind.CUSTOMER_SITE) for _ in range(6)]
+        nodes = [world.register_node(NodeKind.CUSTOMER_SITE, f"node-{i:04d}")
+                 for i in range(1, 7)]
         spawned = 0
         for _ in range(10):
-            world.spawn_agent(AgentRole.SERVICE, rng.choice(nodes))
             spawned += 1
+            world.spawn_agent(AgentRole.SERVICE, rng.choice(nodes), agent_id=f"agent-{spawned:04d}")
         for step in range(3000):
             op = rng.random()
             if op < 0.15 and spawned < 60:
-                world.spawn_agent(AgentRole.SERVICE, rng.choice(nodes))
                 spawned += 1
+                world.spawn_agent(AgentRole.SERVICE, rng.choice(nodes),
+                                  agent_id=f"agent-{spawned:04d}")
             elif op < 0.7:
                 agent_id = rng.choice(sorted(world.agents))
                 try:
@@ -354,22 +339,25 @@ class TestMigration:
             world.register_node(NodeKind.CUSTOMER_SITE, name)
         roles = list(AgentRole)
         products = [mint_product_id(f"px-{i}", "urn:mfg:acme") for i in range(30)]
+        ids = (f"agent-{n:04d}" for n in itertools.count(1))
         refused = 0
 
         def spawn():
             nonlocal refused
-            role, product = rng.choice(roles), rng.choice(products)
+            role, product, agent_id = rng.choice(roles), rng.choice(products), next(ids)
             itinerary = tuple(rng.choice(names) for _ in range(rng.randint(0, 5)))
             taken = {a.product_id for a in world.agents.values() if a.role is AgentRole.PRODUCT}
             if role is AgentRole.PRODUCT and product in taken:
                 # One AgentProduct per product, resident or in flight.
                 before = dict(world.agents)
                 with pytest.raises(SimulationError):
-                    world.spawn_agent(role, rng.choice(names), product_id=product)
+                    world.spawn_agent(role, rng.choice(names), product_id=product,
+                                      agent_id=agent_id)
                 assert world.agents == before
                 refused += 1
                 return
-            world.spawn_agent(role, rng.choice(names), product_id=product, itinerary=itinerary)
+            world.spawn_agent(role, rng.choice(names), product_id=product, itinerary=itinerary,
+                              agent_id=agent_id)
 
         def check():
             residents = {aid: agent.role for aid, agent in world.agents.items()
@@ -469,7 +457,7 @@ def _plan_migration_calls(monkeypatch, parked):
     world = World()
     nodes = [world.register_node(NodeKind.CUSTOMER_SITE, f"n{i}") for i in range(4)]
     for i in range(parked):
-        world.spawn_agent(AgentRole.IMPACT, nodes[i % 4])
+        world.spawn_agent(AgentRole.IMPACT, nodes[i % 4], agent_id=f"agent-{i + 1:04d}")
     world.spawn_agent(AgentRole.IMPACT, "n0", agent_id="roamer",
                       itinerary=tuple(nodes[i % 4] for i in range(1, 150)))
     for _ in range(200):
@@ -492,7 +480,7 @@ WORLD_GUARDS = {
     "product on an unknown node": (
         lambda world: world.register_product(PID2, 1, LifecyclePhase.EOL_USE, node="n99"),
         UnknownNode, "product node 'n99'"),
-    "unknown home": (lambda world: world.spawn_agent(AgentRole.SERVICE, "n99"),
+    "unknown home": (lambda world: world.spawn_agent(AgentRole.SERVICE, "n99", agent_id="a-02"),
                      UnknownNode, "home node 'n99'"),
     "duplicate agent id": (
         lambda world: world.spawn_agent(AgentRole.SERVICE, "n1", agent_id="a-01"),
