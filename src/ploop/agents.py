@@ -60,7 +60,7 @@ class AgentRole(str, Enum):
     KNOWLEDGE = "AgentKnowledge"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentState:
     """Complete migratable state of one agent: its id, role, node, bound
     product and itinerary.
@@ -86,7 +86,7 @@ class AgentState:
 # Effects are inert data; the runtime interprets them.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendMessage:
     """Ask the runtime to publish a payload under a routing key. The
     runtime stamps its id, its delivery tick and its origin node."""
@@ -95,7 +95,7 @@ class SendMessage:
     payload: Payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmitKnowledge:
     """Submit a record to the knowledge repository. Applied as a direct
     insert when the emitter is the repository keeper (AgentKnowledge);

@@ -9,8 +9,9 @@ else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from typing import Iterable
 from urllib.parse import urlparse
 
 
@@ -137,7 +138,7 @@ class IntelligenceLocation:
     granularity: IntelligenceGranularity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorEvent:
     """One scalar reading captured by the on-product device."""
 
@@ -151,43 +152,97 @@ class SensorEvent:
             raise IdentityError(f"sim_time must be >= 0, got {self.sim_time}")
 
 
-@dataclass(frozen=True)
 class PEID:
     """Product-embedded information device: identity, capability set, and
     an append-only sensor event log.
 
     The capability set must include UniqueID; a device without identity is
-    unconstructible. Event log timestamps are non-decreasing.
+    unconstructible. Event log timestamps are non-decreasing. A PEID is
+    immutable and compares and hashes by its three fields, as a frozen
+    dataclass would.
+
+    The PEIDs that ``record_event`` makes one from another share one list
+    of events, each knowing its own length, so ``event_log`` is the first
+    ``_size`` entries of ``_events`` and an append is O(1) amortized.
     """
 
-    product_id: ProductID
-    capabilities: frozenset[PEIDCapability] = ALL_CAPABILITIES
-    event_log: tuple[SensorEvent, ...] = ()
+    __slots__ = ("product_id", "capabilities", "_events", "_size")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "capabilities", frozenset(self.capabilities))
-        if PEIDCapability.UNIQUE_ID not in self.capabilities:
+    def __init__(
+        self,
+        product_id: ProductID,
+        capabilities: Iterable[PEIDCapability] = ALL_CAPABILITIES,
+        event_log: Iterable[SensorEvent] = (),
+    ) -> None:
+        capabilities = frozenset(capabilities)
+        if PEIDCapability.UNIQUE_ID not in capabilities:
             raise IdentityError("PEID capabilities must include UniqueID")
-        times = [e.sim_time for e in self.event_log]
-        if any(a > b for a, b in zip(times, times[1:])):
+        events = list(event_log)
+        if any(a.sim_time > b.sim_time for a, b in zip(events, events[1:])):
             raise NonMonotonicTime("event_log timestamps must be non-decreasing")
+        _fill(self, product_id, capabilities, events, len(events))
+
+    @property
+    def event_log(self) -> tuple[SensorEvent, ...]:
+        return tuple(self._events[:self._size])
+
+    def _fields(self) -> tuple[ProductID, frozenset[PEIDCapability], tuple[SensorEvent, ...]]:
+        return self.product_id, self.capabilities, self.event_log
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return ("{}(product_id={!r}, capabilities={!r}, event_log={!r})"
+                .format(type(self).__name__, *self._fields()))
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        """Copy and pickle through the constructor, since assignment is refused."""
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _fill(peid: PEID, product_id: ProductID, capabilities: frozenset[PEIDCapability],
+          events: list[SensorEvent], size: int) -> None:
+    """Set the slots of a new PEID, past its refusal of assignment."""
+    setattr_ = object.__setattr__
+    setattr_(peid, "product_id", product_id)
+    setattr_(peid, "capabilities", capabilities)
+    setattr_(peid, "_events", events)
+    setattr_(peid, "_size", size)
 
 
 def record_event(peid: PEID, event: SensorEvent) -> PEID:
-    """Append one sensor event, copy-on-update.
+    """A PEID whose log is peid's with one sensor event appended; peid is
+    left as it was.
 
     The event's sim_time must not precede the log tail; prior entries are
     never rewritten. Every PEID's log is ordered once built, so the tail
-    check is the whole check: the copy skips ``__post_init__`` and its
-    rescan of the log.
+    check is the whole check. The new PEID appends to peid's list in place
+    when peid's log is all of it; when an append from peid has already
+    grown the list, it appends to a copy of peid's own entries instead.
     """
-    if peid.event_log and event.sim_time < peid.event_log[-1].sim_time:
+    events, size = peid._events, peid._size
+    if size and event.sim_time < events[size - 1].sim_time:
         raise NonMonotonicTime(
             f"event at t={event.sim_time} precedes log tail "
-            f"t={peid.event_log[-1].sim_time}"
+            f"t={events[size - 1].sim_time}"
         )
+    if len(events) != size:
+        events = events[:size]
+    events.append(event)
     appended = object.__new__(type(peid))
-    vars(appended).update(vars(peid), event_log=peid.event_log + (event,))
+    _fill(appended, peid.product_id, peid.capabilities, events, size + 1)
     return appended
 
 

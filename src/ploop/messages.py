@@ -22,7 +22,7 @@ KEY_KNOWLEDGE_RECORD = "knowledge.record"
 KEY_DESIGN_TRIGGER = "design.trigger"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorBatch:
     """A readout of on-product sensor events, tagged with the tacit
     category it evidences (use, environment, failure)."""
@@ -34,21 +34,21 @@ class SensorBatch:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CustomerFeedback:
     product_id: ProductID
     generation: int
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultReported:
     product_id: ProductID
     generation: int
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceOrder:
     product_id: ProductID
     generation: int
@@ -65,7 +65,7 @@ Payload = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """A routed payload in flight between agents. The runtime stamps its
     id, its delivery tick and its origin node; ``World.send`` logs the

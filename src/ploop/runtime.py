@@ -570,20 +570,15 @@ class World:
         *,
         agent_id: str,
     ) -> str:
-        if home not in self.nodes:
+        nodes = self.nodes
+        if home not in nodes:
             raise UnknownNode(f"home node {home!r} is not registered")
-        for stop in itinerary:
-            if stop not in self.nodes:
-                raise UnknownNode(f"itinerary node {stop!r} is not registered")
+        if not nodes.issuperset(itinerary):
+            stop = next(stop for stop in itinerary if stop not in nodes)
+            raise UnknownNode(f"itinerary node {stop!r} is not registered")
         if agent_id in self.agents:
             raise SimulationError(f"agent id already registered: {agent_id!r}")
-        state = AgentState(
-            agent_id=agent_id,
-            role=role,
-            location=home,
-            product_id=product_id,
-            itinerary=_drop_heads(itinerary, home),
-        )
+        state = AgentState(agent_id, role, home, product_id, _drop_heads(itinerary, home))
         if role is AgentRole.PRODUCT:
             bound = self._by_product.get(product_id)
             if bound is not None:
@@ -618,15 +613,9 @@ class World:
             deliver_at = self.clock + self.params.message_latency
         elif deliver_at < self.clock:
             raise SimulationError(f"deliver_at {deliver_at} precedes the clock {self.clock}")
-        self._msg_seq += 1
-        message = Message(
-            msg_id=f"m{self._msg_seq:06d}",
-            routing_key=routing_key,
-            payload=payload,
-            deliver_at=deliver_at,
-            origin_node=origin_node,
-        )
-        heapq.heappush(self._pending, (message.deliver_at, self._msg_seq, message))
+        self._msg_seq = seq = self._msg_seq + 1
+        message = Message(f"m{seq:06d}", routing_key, payload, deliver_at, origin_node)
+        heapq.heappush(self._pending, (deliver_at, seq, message))
         self.log(
             EVT_MESSAGE_SENT,
             node=origin_node,

@@ -107,6 +107,23 @@ class TestPEIDLog:
         record_event(base, SensorEvent("temp", 21.0, "C", 1))
         assert base.event_log == ()
 
+    def test_two_appends_to_one_peid_branch_apart(self):
+        # The PEIDs record_event makes share one list; the second append to
+        # base must neither see nor overwrite the first.
+        first = SensorEvent("temp", 20.0, "C", 1)
+        base = record_event(self.make_peid(), first)
+        a, b = SensorEvent("temp", 21.0, "C", 2), SensorEvent("rpm", 9.0, "Hz", 3)
+        with_a = record_event(base, a)
+        with_b = record_event(base, b)
+        assert with_a.event_log == (first, a)
+        assert with_b.event_log == (first, b)
+        assert base.event_log == (first,)
+        # Each branch grows on its own, and neither moves the other.
+        last = SensorEvent("temp", 22.0, "C", 4)
+        assert record_event(with_a, last).event_log == (first, a, last)
+        assert record_event(with_b, last).event_log == (first, b, last)
+        assert (with_a.event_log, with_b.event_log) == ((first, a), (first, b))
+
     def test_unordered_log_rejected_at_construction(self):
         log = (SensorEvent("temp", 21.0, "C", 5), SensorEvent("temp", 22.0, "C", 3))
         with pytest.raises(NonMonotonicTime):
