@@ -42,7 +42,7 @@ from .identity import (
     SensorEvent,
     mint_product_id,
 )
-from .knowledge import TACIT_CATEGORIES
+from .knowledge import TACIT_CATEGORIES, write_lines
 from .lifecycle import ComponentCondition, EOLPolicy, LifecycleEvent, LifecyclePhase
 from .messages import (
     KEY_CUSTOMER_FEEDBACK,
@@ -932,9 +932,7 @@ def write_run_files(
         "report_text": out / f"{name}.report.txt",
         "repository": out / f"{name}.repository.jsonl",
     }
-    with paths["events"].open("w", encoding="utf-8") as out:
-        for event in world.events:
-            out.write(event.to_json_line() + "\n")
+    write_lines(paths["events"], map(LoggedEvent.to_json_line, world.events))
     paths["report_json"].write_text(report.to_json(), encoding="utf-8")
     paths["report_text"].write_text(report.to_text(), encoding="utf-8")
     world.repository.save(paths["repository"])

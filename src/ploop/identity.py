@@ -39,7 +39,8 @@ class NonMonotonicTime(IdentityError):
 class ProductID:
     """An identity joining a physical product and its software counterpart.
 
-    Equality is field-wise; the rendered form is exactly ``serial@uri``.
+    Equality is field-wise; the rendered form is exactly ``serial@uri``,
+    built once, when the id is, and kept outside the fields.
     """
 
     serial: str
@@ -54,12 +55,13 @@ class ProductID:
             raise MalformedURI("uri must be non-empty")
         if "@" in self.uri:
             raise MalformedURI(f"uri must not contain '@': {self.uri!r}")
+        object.__setattr__(self, "_rendered", f"{self.serial}@{self.uri}")
 
     def render(self) -> str:
-        return f"{self.serial}@{self.uri}"
+        return self._rendered
 
     def __str__(self) -> str:
-        return self.render()
+        return self._rendered
 
 
 def mint_product_id(serial: str, uri: str) -> ProductID:

@@ -17,8 +17,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Iterable
 
 from .identity import ProductID
 
@@ -121,8 +123,8 @@ class KnowledgeRecord:
     def to_json_line(self) -> str:
         return (f'{{"record_id":{_quote(self.record_id)},"product_id":{_quote(self.family)},'
                 f'"generation":{_int(self.generation)},'
-                f'"activity":{_quote(self.activity.value)},"mode":{_quote(self.mode.value)},'
-                f'"source":{_quote(self.source.value)},"payload":{_quote(self.payload)},'
+                f'"activity":{_quote(self.activity._value_)},"mode":{_quote(self.mode._value_)},'
+                f'"source":{_quote(self.source._value_)},"payload":{_quote(self.payload)},'
                 f'"created_at":{_int(self.created_at)}}}')
 
 
@@ -181,9 +183,22 @@ class KnowledgeRepository:
 
     def save(self, path: Path | str) -> None:
         """Persist as JSON lines, one record per line, insertion order."""
-        with Path(path).open("w", encoding="utf-8") as out:
-            for record in self._records:
-                out.write(record.to_json_line() + "\n")
+        write_lines(path, map(KnowledgeRecord.to_json_line, self._records))
+
+
+# Lines joined into one write: a whole log joined at once would be held in
+# memory twice, and a write per line costs a call per line.
+CHUNK_LINES = 512
+
+
+def write_lines(path: Path | str, lines: Iterable[str]) -> None:
+    """Write each line and a newline to a new UTF-8 file, CHUNK_LINES lines
+    per write."""
+    lines = iter(lines)
+    with Path(path).open("w", encoding="utf-8") as out:
+        while chunk := list(islice(lines, CHUNK_LINES)):
+            chunk.append("")
+            out.write("\n".join(chunk))
 
 
 def tacit_record(

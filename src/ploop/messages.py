@@ -8,7 +8,7 @@ includes KnowledgeRecord and DesignTrigger from the knowledge layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .identity import ProductID, SensorEvent
 from .knowledge import DesignTrigger, KnowledgeRecord
@@ -65,11 +65,11 @@ Payload = Union[
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """A routed payload in flight between agents. The runtime stamps its
     id, its delivery tick and its origin node; ``World.send`` logs the
-    sender and refuses a delivery tick before the clock."""
+    sender, refuses a delivery tick before the clock and builds the message
+    with a bare ``tuple.__new__``."""
 
     msg_id: str
     routing_key: str

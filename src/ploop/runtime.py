@@ -56,6 +56,19 @@ took 0.55 µs). Timings: Python 3.11, 2-core x86-64 VM. Step 2 scans the
 in-flight transfers, returns at once when none is due, and sorts only
 the due ones (see ``Transfer`` for why this is a scan and not a heap).
 
+A delivery costs its recipients and its records, and nothing fixed
+beside them. ``RoutingTable.first_match`` scans the rules for a key once
+and then answers from a memo (0.1 µs, where the scan took 0.34 µs for a
+key matching the first rule and 1.2 µs for one matching fleet's
+seventh). ``send`` builds the ``Message``, a NamedTuple, with a bare
+``tuple.__new__`` (0.18 µs, where the frozen dataclass took 0.9 µs) and
+formats its id with ``%`` (0.22 µs, where the f-string took 0.29 µs). A
+``ProductID`` renders once, when it is built (a read takes 0.06 µs,
+where formatting took 0.1 µs). The events of a send, a delivery and an
+insert are appended as bare tuples, and an insert reads its record's
+enum values from the members' ``_value_`` attributes rather than through
+the ``value`` property. Same VM as above.
+
 Fail-closed faults: partitioned migrations are refused at send time and
 logged; partitioned deliveries are dropped and logged; no message or agent
 ever crosses a severed pair.
@@ -210,10 +223,11 @@ class LoggedEvent(NamedTuple):
     detail: Mapping[str, Any] = MappingProxyType({})
 
     def to_json_line(self) -> str:
-        detail = detail_str(self.detail) if self.detail else ""
-        return (f'{{"tick":{_int(self.tick)},"event_kind":{_quote(self.event_kind)},'
-                f'"node":{_quote(self.node)},"agent":{_quote(self.agent)},'
-                f'"msg_id":{_quote(self.msg_id)},"detail":{_quote(detail)}}}')
+        tick, kind, node, agent, msg_id, detail = self
+        detail = detail_str(detail) if detail else ""
+        return (f'{{"tick":{_int(tick)},"event_kind":{_quote(kind)},'
+                f'"node":{_quote(node)},"agent":{_quote(agent)},'
+                f'"msg_id":{_quote(msg_id)},"detail":{_quote(detail)}}}')
 
     @classmethod
     def from_json_line(cls, line: str) -> "LoggedEvent":
@@ -301,6 +315,12 @@ class RoutingRule:
 
 @dataclass(frozen=True)
 class RoutingTable:
+    """First-match rules ending in the catch-all. A table never changes, so
+    ``first_match`` scans the rules for a key once and remembers the rule it
+    found; the memo is not a field, so equality, hash, repr and ``asdict``
+    see only ``rules``. It holds one entry per key routed, and a run routes
+    only the few keys its scenario and the runtime name."""
+
     rules: tuple[RoutingRule, ...]
 
     def __post_init__(self) -> None:
@@ -316,12 +336,14 @@ class RoutingTable:
                 )
             if not rule.pattern:
                 raise InvalidRoutingTable("empty pattern")
+        object.__setattr__(self, "_matched", {})
 
     def first_match(self, key: str) -> RoutingRule:
-        for rule in self.rules:
-            if rule.matches(key):
-                return rule
-        raise AssertionError("unreachable: catch-all guarantees a match")
+        rule = self._matched.get(key)
+        if rule is None:
+            # The catch-all guarantees a match.
+            rule = self._matched[key] = next(r for r in self.rules if r.matches(key))
+        return rule
 
 
 CATCH_ALL_TABLE = RoutingTable(rules=(RoutingRule("*", ()),))
@@ -638,20 +660,18 @@ class World:
         origin_node: str,
         deliver_at: int | None = None,
     ) -> Message:
+        clock = self.clock
         if deliver_at is None:
-            deliver_at = self.clock + self.params.message_latency
-        elif deliver_at < self.clock:
-            raise SimulationError(f"deliver_at {deliver_at} precedes the clock {self.clock}")
+            deliver_at = clock + self.params.message_latency
+        elif deliver_at < clock:
+            raise SimulationError(f"deliver_at {deliver_at} precedes the clock {clock}")
         self._msg_seq = seq = self._msg_seq + 1
-        message = Message(f"m{seq:06d}", routing_key, payload, deliver_at, origin_node)
+        msg_id = "m%06d" % seq
+        message = _new_tuple(Message, (msg_id, routing_key, payload, deliver_at, origin_node))
         heapq.heappush(self._pending, (deliver_at, seq, message))
-        self.log(
-            EVT_MESSAGE_SENT,
-            node=origin_node,
-            agent=sender,
-            msg_id=message.msg_id,
-            detail={"key": routing_key, "kind": payload_kind(payload)},
-        )
+        self.events.append(_new_tuple(LoggedEvent, (
+            clock, EVT_MESSAGE_SENT, origin_node, sender, msg_id,
+            {"key": routing_key, "kind": payload_kind(payload)})))
         return message
 
     def schedule_action(self, tick: int, action: Action) -> None:
@@ -941,42 +961,31 @@ def _process_delivery(world: World, message: Message) -> None:
     _world_rules(world, message)
     recipients = route(message, world.routing, world._residents, world._by_role,
                        world._by_product)
+    msg_id, key, payload, _, origin = message
     if not recipients:
-        world.log(
-            EVT_MESSAGE_DROPPED,
-            node=message.origin_node,
-            msg_id=message.msg_id,
-            detail={"key": message.routing_key},
-        )
+        world.log(EVT_MESSAGE_DROPPED, node=origin, msg_id=msg_id, detail={"key": key})
         return
+    agents, append, clock = world.agents, world.events.append, world.clock
     for agent_id in recipients:
-        agent = world.agents[agent_id]
+        agent = agents[agent_id]
         location = agent.location
-        if world.severed(message.origin_node, location):
-            world.log(
-                EVT_MESSAGE_BLOCKED,
-                node=location,
-                agent=agent_id,
-                msg_id=message.msg_id,
-                detail={"origin": message.origin_node, "key": message.routing_key},
-            )
+        if world.severed(origin, location):
+            append(_new_tuple(LoggedEvent, (
+                clock, EVT_MESSAGE_BLOCKED, location, agent_id, msg_id,
+                {"origin": origin, "key": key})))
             continue
-        world.log(
-            EVT_MESSAGE_DELIVERED,
-            node=location,
-            agent=agent_id,
-            msg_id=message.msg_id,
-            detail={"origin": message.origin_node, "key": message.routing_key},
-        )
+        append(_new_tuple(LoggedEvent, (
+            clock, EVT_MESSAGE_DELIVERED, location, agent_id, msg_id,
+            {"origin": origin, "key": key})))
         try:
-            effects = handle(agent, message, world.clock)
+            effects = handle(agent, message, clock)
         except UnhandledMessage as exc:
             world.log(
                 EVT_UNHANDLED_MESSAGE,
                 node=location,
                 agent=agent_id,
-                msg_id=message.msg_id,
-                detail={"kind": payload_kind(message.payload), "reason": str(exc)},
+                msg_id=msg_id,
+                detail={"kind": payload_kind(payload), "reason": str(exc)},
             )
             continue
         for effect in effects:
@@ -1007,23 +1016,20 @@ def _insert_record(world: World, agent: AgentState, record: KnowledgeRecord) -> 
         world.repository.insert(record)
     except DuplicateRecord:
         return
-    world.log(
-        EVT_KNOWLEDGE_INSERTED,
-        node=agent.location,
-        agent=agent.agent_id,
-        detail={
-            "family": record.family,
-            "generation": record.generation,
-            "mode": record.mode.value,
-            "source": record.source.value,
-            "activity": record.activity.value,
+    family, generation = record.family, record.generation
+    world.events.append(_new_tuple(LoggedEvent, (
+        world.clock, EVT_KNOWLEDGE_INSERTED, agent.location, agent.agent_id, "", {
+            "family": family,
+            "generation": generation,
+            "mode": record.mode._value_,
+            "source": record.source._value_,
+            "activity": record.activity._value_,
             "record_id": record.record_id,
-        },
-    )
+        })))
     params = world.params
-    count = world.repository.count(record.family, record.generation)
+    count = world.repository.count(family, generation)
     if params.trigger_rule_enabled and count == params.trigger_threshold:
-        trigger = DesignTrigger(record.family, record.generation, record.generation + 1)
+        trigger = DesignTrigger(family, generation, generation + 1)
         world.send(KEY_DESIGN_TRIGGER, trigger, sender=agent.agent_id,
                    origin_node=agent.location)
 

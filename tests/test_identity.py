@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -87,6 +90,27 @@ class TestProductID:
             uri = "urn:" + "".join(rng.choices(alphabet + ":", k=rng.randint(1, 20)))
             minted = mint_product_id(serial, uri)
             assert parse_product_id(minted.render()) == minted
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda pid: dataclasses.replace(pid, serial="px-9"),
+        lambda pid: dataclasses.replace(pid, uri="urn:mfg:other"),
+        lambda pid: dataclasses.replace(pid),
+        copy.copy,
+        copy.deepcopy,
+        *(lambda pid, p=protocol: pickle.loads(pickle.dumps(pid, protocol=p))
+          for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ])
+    def test_every_copy_renders_its_own_fields(self, copy_of):
+        # The rendered form is built once, beside the fields: each way of
+        # copying an id must carry or rebuild it to match the copy's fields.
+        pid = mint_product_id("px-1", "urn:mfg:acme")
+        assert pid.render() == "px-1@urn:mfg:acme"
+        dup = copy_of(pid)
+        assert dup.render() == str(dup) == f"{dup.serial}@{dup.uri}"
+        assert [f.name for f in dataclasses.fields(dup)] == ["serial", "uri"]
+        assert repr(dup) == f"ProductID(serial={dup.serial!r}, uri={dup.uri!r})"
+        assert dataclasses.asdict(dup) == {"serial": dup.serial, "uri": dup.uri}
+        assert hash(dup) == hash(ProductID(dup.serial, dup.uri))
 
 
 class TestPEIDLog:

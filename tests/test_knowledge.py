@@ -5,6 +5,7 @@ import pytest
 
 from ploop.identity import mint_product_id
 from ploop.knowledge import (
+    CHUNK_LINES,
     TACIT_CATEGORIES,
     Activity,
     EmptyFeedback,
@@ -293,3 +294,16 @@ class TestPersistence:
             ("kr-000000", "Explicit", "battery swells", 40),
             ("kr-000001", "Tacit", "failure overheat", 41),
         ]
+
+    @pytest.mark.parametrize("count", [0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1,
+                                       2 * CHUNK_LINES, 2 * CHUNK_LINES + 1])
+    def test_saved_bytes_do_not_depend_on_chunk_bounds(self, tmp_path, count):
+        # Lines are written CHUNK_LINES to a call; the file must hold exactly
+        # what one write per line would, on and around every chunk bound.
+        repo = KnowledgeRepository()
+        for i in range(count):
+            add_tacit(repo, TACIT_CATEGORIES[i % 3], f"note {i} é ", i)
+        path = tmp_path / "repo.jsonl"
+        repo.save(path)
+        assert path.read_bytes() == "".join(
+            record.to_json_line() + "\n" for record in repo.records).encode("utf-8")

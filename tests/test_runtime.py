@@ -12,7 +12,7 @@ import pytest
 
 from ploop import runtime
 from ploop.agents import AgentRole
-from ploop.harness import compute_report, load_scenario, run
+from ploop.harness import compute_report, load_scenario, run, save_scenario
 from ploop.identity import ProductID, SensorEvent, mint_product_id
 from ploop.knowledge import (
     Activity,
@@ -253,6 +253,48 @@ class TestRoutingTable:
                 assert resolve(make_message(key, payload), table, directory, bindings) \
                     == oracle_bound_route(key, rules, directory, bindings, bound)
         assert scoped > 5000
+
+    def test_remembered_rules_match_first_match_oracle(self):
+        # A table remembers the rule it found for each key: every lookup,
+        # first or repeated and in any order, must still resolve as the
+        # rule-by-rule scan does, and what a table has looked up must never
+        # show in its equality, hash, repr or asdict.
+        rng = random.Random(1020)
+        roles = [r.value for r in AgentRole]
+        trigger = DesignTrigger(PID.render(), 1, 2)
+        for _ in range(300):
+            directory = {
+                f"a{i:02d}": AgentRole(rng.choice(roles))
+                for i in range(rng.randint(0, 12))
+            }
+            rules = random_rules(rng, roles + list(directory) + ["ghost"])
+            table = RoutingTable(rules=tuple(RoutingRule(p, r) for p, r in rules))
+            twin = RoutingTable(rules=tuple(RoutingRule(p, r) for p, r in rules))
+            # Random keys, and one that each rule's pattern matches.
+            keys = [random_key(rng) for _ in range(6)] + [p.rstrip("*") for p, _ in rules]
+            lookups = keys * rng.randint(2, 4)
+            rng.shuffle(lookups)
+            first = {}
+            for key in lookups:
+                assert resolve(make_message(key, trigger), table, directory) \
+                    == oracle_route(key, rules, directory)
+                assert table.first_match(key) is first.setdefault(key, table.first_match(key))
+            for key in rng.sample(keys, rng.randint(0, len(keys))):
+                twin.first_match(key)
+            assert table == twin
+            assert hash(table) == hash(twin)
+            assert repr(table) == repr(twin)
+            assert dataclasses.asdict(table) == dataclasses.asdict(twin)
+            assert [f.name for f in dataclasses.fields(table)] == ["rules"]
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "fixtures").glob("*.scn")),
+                             ids=lambda p: p.stem)
+    def test_run_leaves_the_saved_scenario_unchanged(self, tmp_path, path):
+        scenario = load_scenario(path)
+        save_scenario(scenario, tmp_path / "before.scn")
+        run(scenario)
+        save_scenario(scenario, tmp_path / "after.scn")
+        assert (tmp_path / "after.scn").read_bytes() == (tmp_path / "before.scn").read_bytes()
 
 
 class TestMigration:
@@ -583,6 +625,28 @@ class TestTick:
         assert len(world.events) == logged and world._pending == []
         assert world.send("k", CustomerFeedback(PID, 1, "x"), "t", "n1",
                           deliver_at=5).deliver_at == 5
+
+    def test_sent_message_equals_one_built_by_keyword(self):
+        world = World()
+        world.register_node(NodeKind.CUSTOMER_SITE, "n1")
+        tick(world)
+        payload = CustomerFeedback(PID, 1, "x")
+        message = world.send("k", payload, "t", "n1")
+        assert type(message) is Message
+        assert Message._fields == ("msg_id", "routing_key", "payload", "deliver_at",
+                                   "origin_node")
+        assert message == Message(msg_id="m000001", routing_key="k", payload=payload,
+                                  deliver_at=2, origin_node="n1")
+
+    def test_message_ids_widen_past_six_digits(self):
+        world = World()
+        world.register_node(NodeKind.CUSTOMER_SITE, "n1")
+        world._msg_seq = 999_998
+        sent = [world.send("k", CustomerFeedback(PID, 1, "x"), "t", "n1").msg_id
+                for _ in range(2)]
+        assert sent == [f"m{seq:06d}" for seq in (999_999, 1_000_000)]
+        assert sent == ["m999999", "m1000000"]
+        assert [e.msg_id for e in world.events if e.event_kind == "message_sent"] == sent
 
     def test_partitioned_delivery_is_blocked_and_logged(self):
         world = World(
