@@ -12,7 +12,6 @@ stimuli, one rule flipped.
 from pathlib import Path
 
 from ploop.harness import compare, load_scenario, run
-from ploop.knowledge import aggregate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -28,9 +27,3 @@ summary = compare(feedback.report, baseline.report)
 print("=== comparison ===")
 print(summary.to_text())
 
-# What the designer actually gets to read at the manufacturer:
-insight = aggregate(feedback.world.repository, "px-100@urn:mfg:acme", 1)
-print("=== design insight for generation 1 ===")
-print(f"records: {insight.record_count} "
-      f"(tacit {insight.tacit_count}, explicit {insight.explicit_count})")
-print("top issues:", ", ".join(insight.top_issues[:8]))

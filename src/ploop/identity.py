@@ -214,14 +214,18 @@ class PEID:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+_set_product_id, _set_capabilities, _set_events, _set_size = (
+    PEID.__dict__[name].__set__ for name in PEID.__slots__)
+
+
 def _fill(peid: PEID, product_id: ProductID, capabilities: frozenset[PEIDCapability],
           events: list[SensorEvent], size: int) -> None:
-    """Set the slots of a new PEID, past its refusal of assignment."""
-    setattr_ = object.__setattr__
-    setattr_(peid, "product_id", product_id)
-    setattr_(peid, "capabilities", capabilities)
-    setattr_(peid, "_events", events)
-    setattr_(peid, "_size", size)
+    """Set the slots of a new PEID through their descriptors, past its
+    refusal of assignment."""
+    _set_product_id(peid, product_id)
+    _set_capabilities(peid, capabilities)
+    _set_events(peid, events)
+    _set_size(peid, size)
 
 
 def record_event(peid: PEID, event: SensorEvent) -> PEID:

@@ -1,7 +1,6 @@
 """Knowledge records with the two-axis classification (mode:
 tacit/explicit, source: self/collective), the activity-to-mode table, the
-two record builders agents use, the repository, and aggregation into
-design insights.
+two record builders agents use, and the repository.
 
 Records are keyed to a product family (the rendered id of the original
 product) and a generation number so the repository can answer "how much
@@ -13,7 +12,6 @@ written, never read back: ``save`` writes one JSON line per record, which
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -93,7 +91,7 @@ def classify_activity(activity: Activity) -> frozenset[KnowledgeMode]:
     return ACTIVITY_MODES[activity]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeRecord:
     """One classified observation headed for the repository."""
 
@@ -137,19 +135,6 @@ class DesignTrigger:
     next_generation: int
 
 
-@dataclass(frozen=True)
-class DesignInsight:
-    """Aggregated view of one (family, generation): counts by mode plus
-    issue keys ranked by frequency."""
-
-    family: str
-    generation: int
-    record_count: int
-    tacit_count: int
-    explicit_count: int
-    top_issues: tuple[str, ...]
-
-
 class KnowledgeRepository:
     """Append-only record store with per-(family, generation) counting."""
 
@@ -175,12 +160,6 @@ class KnowledgeRepository:
     def count(self, family: str, generation: int) -> int:
         return self._counts[(family, generation)]
 
-    def records_for(self, family: str, generation: int) -> tuple[KnowledgeRecord, ...]:
-        return tuple(
-            r for r in self._records
-            if r.family == family and r.generation == generation
-        )
-
     def save(self, path: Path | str) -> None:
         """Persist as JSON lines, one record per line, insertion order."""
         write_lines(path, map(KnowledgeRecord.to_json_line, self._records))
@@ -201,6 +180,33 @@ def write_lines(path: Path | str, lines: Iterable[str]) -> None:
             out.write("\n".join(chunk))
 
 
+_new_record = object.__new__
+(_set_record_id, _set_product_id, _set_generation, _set_activity, _set_mode, _set_source,
+ _set_payload, _set_created_at) = (KnowledgeRecord.__dict__[name].__set__
+                                   for name in KnowledgeRecord.__slots__)
+
+
+def _bare_record(record_id: str, product_id: ProductID, generation: int, activity: Activity,
+                 mode: KnowledgeMode, source: KnowledgeSource, payload: str,
+                 created_at: int) -> KnowledgeRecord:
+    """``KnowledgeRecord(...)`` for a builder whose activity and mode are a
+    fixed, permitted pair: it checks only the generation and the tick."""
+    if generation < 1:
+        raise KnowledgeError(f"generation must be >= 1, got {generation}")
+    if created_at < 0:
+        raise KnowledgeError(f"created_at must be >= 0, got {created_at}")
+    record = _new_record(KnowledgeRecord)
+    _set_record_id(record, record_id)
+    _set_product_id(record, product_id)
+    _set_generation(record, generation)
+    _set_activity(record, activity)
+    _set_mode(record, mode)
+    _set_source(record, source)
+    _set_payload(record, payload)
+    _set_created_at(record, created_at)
+    return record
+
+
 def tacit_record(
     record_id: str,
     product_id: ProductID,
@@ -211,16 +217,9 @@ def tacit_record(
 ) -> KnowledgeRecord:
     """An automatically collected observation: a self-sourced
     IntelligentProduct record whose payload is the category and note."""
-    return KnowledgeRecord(
-        record_id=record_id,
-        product_id=product_id,
-        generation=generation,
-        activity=Activity.INTELLIGENT_PRODUCT,
-        mode=KnowledgeMode.TACIT,
-        source=KnowledgeSource.SELF_SOURCE,
-        payload=f"{category} {note}".strip(),
-        created_at=tick,
-    )
+    return _bare_record(record_id, product_id, generation, Activity.INTELLIGENT_PRODUCT,
+                        KnowledgeMode.TACIT, KnowledgeSource.SELF_SOURCE,
+                        f"{category} {note}".strip(), tick)
 
 
 def explicit_record(
@@ -233,41 +232,5 @@ def explicit_record(
     """Customer feedback: an explicit, collectively sourced Customer record."""
     if not feedback_text:
         raise EmptyFeedback("feedback text must be non-empty")
-    return KnowledgeRecord(
-        record_id=record_id,
-        product_id=product_id,
-        generation=generation,
-        activity=Activity.CUSTOMER,
-        mode=KnowledgeMode.EXPLICIT,
-        source=KnowledgeSource.COLLECTIVE,
-        payload=feedback_text,
-        created_at=tick,
-    )
-
-
-_WORD_RE = re.compile(r"[a-z0-9]+")
-
-
-def normalize_payload(payload: str) -> frozenset[str]:
-    """Lowercase word-set extraction used to rank issues."""
-    return frozenset(_WORD_RE.findall(payload.lower()))
-
-
-def aggregate(repo: KnowledgeRepository, family: str, generation: int) -> DesignInsight:
-    """Summarize one (family, generation): record counts by mode and issue
-    keys ranked by descending frequency, ties broken lexicographically."""
-    records = repo.records_for(family, generation)
-    tacit = sum(1 for r in records if r.mode is KnowledgeMode.TACIT)
-    explicit = sum(1 for r in records if r.mode is KnowledgeMode.EXPLICIT)
-    freq: Counter[str] = Counter()
-    for r in records:
-        freq.update(normalize_payload(r.payload))
-    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    return DesignInsight(
-        family=family,
-        generation=generation,
-        record_count=len(records),
-        tacit_count=tacit,
-        explicit_count=explicit,
-        top_issues=tuple(word for word, _ in ranked),
-    )
+    return _bare_record(record_id, product_id, generation, Activity.CUSTOMER,
+                        KnowledgeMode.EXPLICIT, KnowledgeSource.COLLECTIVE, feedback_text, tick)

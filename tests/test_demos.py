@@ -19,7 +19,7 @@ STDOUT_SHA256 = {
     "01": "176a8989a1eb88cc5de15b292ca531894d88bae111095f6e5c1a9273d2d79105",
     "02": "725f0250a8cc306991ee2426b36b8393259a11d83a56fd8c7cba1d1091c66a91",
     "03": "cb8338c9f5b9ca32816c8f8750af949c6367705908d5f52ae22e23ab43289e62",
-    "04": "ea917dcbbc62ca46986fc52b0a2c0ea37f0f3ce69fd0fff1510334b8b9cdc96e",
+    "04": "e3a3e53777f2f5ffa605e6781ad4c262c22f0481c4dd20ca7549b0863ec69032",
 }
 
 

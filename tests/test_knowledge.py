@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 
@@ -14,10 +13,8 @@ from ploop.knowledge import (
     KnowledgeRepository,
     KnowledgeSource,
     ModeMismatch,
-    aggregate,
     classify_activity,
     explicit_record,
-    normalize_payload,
     tacit_record,
 )
 from ploop.messages import KEY_KNOWLEDGE_RECORD
@@ -140,9 +137,8 @@ class TestIngestExplicit:
         repo = KnowledgeRepository()
         for i in range(17):
             add_explicit(repo, f"feedback {i}", i)
-        insight = aggregate(repo, FAMILY, 1)
-        assert insight.explicit_count == 17
-        assert insight.record_count == 17
+        assert repo.count(FAMILY, 1) == 17
+        assert len(repo) == 17
 
 
 class TestIngestTacit:
@@ -160,75 +156,6 @@ class TestIngestTacit:
         records = [add_tacit(repo, category, "", 10) for category in TACIT_CATEGORIES]
         assert [r.payload for r in records] == ["use", "environment", "failure"]
         assert all(r.mode is KnowledgeMode.TACIT for r in records)
-
-
-class TestAggregate:
-    def test_empty_repository(self):
-        insight = aggregate(KnowledgeRepository(), FAMILY, 1)
-        assert insight.record_count == 0
-        assert insight.tacit_count == 0
-        assert insight.explicit_count == 0
-        assert insight.top_issues == ()
-
-    def test_counts_add_up(self):
-        repo = KnowledgeRepository()
-        for category, note in (("use", "a"), ("failure", "b"), ("environment", "c")):
-            add_tacit(repo, category, note, 1)
-        add_explicit(repo, "one", 2)
-        add_explicit(repo, "two", 3)
-        insight = aggregate(repo, FAMILY, 1)
-        assert (insight.record_count, insight.tacit_count, insight.explicit_count) \
-            == (5, 3, 2)
-
-    def test_generation_filter(self):
-        repo = KnowledgeRepository()
-        add_explicit(repo, "gen one", 1)
-        add_explicit(repo, "gen two", 2, generation=2)
-        assert aggregate(repo, FAMILY, 1).record_count == 1
-        assert aggregate(repo, FAMILY, 2).record_count == 1
-
-    def test_top_issues_ranked_by_frequency_then_lexicographic(self):
-        repo = KnowledgeRepository()
-        add_explicit(repo, "display dim", 1)
-        add_explicit(repo, "display flicker", 2)
-        add_explicit(repo, "battery swells", 3)
-        insight = aggregate(repo, FAMILY, 1)
-        assert insight.top_issues[0] == "display"
-        assert insight.top_issues[1:] == ("battery", "dim", "flicker", "swells")
-
-    def test_word_set_counts_once_per_record(self):
-        repo = KnowledgeRepository()
-        add_explicit(repo, "noise noise noise", 1)
-        add_explicit(repo, "buzz", 2)
-        add_explicit(repo, "buzz again", 3)
-        insight = aggregate(repo, FAMILY, 1)
-        assert insight.top_issues[0] == "buzz"
-
-    def test_two_hundred_random_records_match_full_scan_oracle(self):
-        rng = random.Random(2718)
-        repo = KnowledgeRepository()
-        words = ["battery", "fan", "screen", "hinge", "overheat", "dim"]
-        expected_tacit = 0
-        expected_explicit = 0
-        for i in range(200):
-            gen = rng.randint(1, 2)
-            payload = " ".join(rng.sample(words, rng.randint(1, 3)))
-            if rng.random() < 0.5:
-                add_tacit(repo, "use", payload, i, generation=gen)
-                expected_tacit += gen == 1
-            else:
-                add_explicit(repo, payload, i, generation=gen)
-                expected_explicit += gen == 1
-        insight = aggregate(repo, FAMILY, 1)
-        # Full-scan recount, independent of the repository's indexing.
-        records = [r for r in repo.records if r.generation == 1 and r.family == FAMILY]
-        assert insight.record_count == len(records)
-        assert insight.tacit_count == expected_tacit
-        assert insight.explicit_count == expected_explicit
-        assert insight.tacit_count + insight.explicit_count == insight.record_count
-
-    def test_normalize_is_lowercase_word_set(self):
-        assert normalize_payload("Fan  NOISE, fan!") == {"fan", "noise"}
 
 
 class TestLoopClosure:
