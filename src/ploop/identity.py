@@ -140,7 +140,7 @@ class IntelligenceLocation:
     granularity: IntelligenceGranularity
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SensorEvent:
     """One scalar reading captured by the on-product device."""
 
@@ -149,9 +149,17 @@ class SensorEvent:
     unit: str
     sim_time: int
 
-    def __post_init__(self) -> None:
-        if self.sim_time < 0:
-            raise IdentityError(f"sim_time must be >= 0, got {self.sim_time}")
+    def __init__(self, sensor: str, value: float, unit: str, sim_time: int) -> None:
+        if sim_time < 0:
+            raise IdentityError(f"sim_time must be >= 0, got {sim_time}")
+        _set_sensor(self, sensor)
+        _set_value(self, value)
+        _set_unit(self, unit)
+        _set_sim_time(self, sim_time)
+
+
+_set_sensor, _set_value, _set_unit, _set_sim_time = (
+    SensorEvent.__dict__[name].__set__ for name in SensorEvent.__slots__)
 
 
 class PEID:

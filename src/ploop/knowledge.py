@@ -91,7 +91,7 @@ def classify_activity(activity: Activity) -> frozenset[KnowledgeMode]:
     return ACTIVITY_MODES[activity]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KnowledgeRecord:
     """One classified observation headed for the repository."""
 
@@ -104,15 +104,23 @@ class KnowledgeRecord:
     payload: str
     created_at: int
 
-    def __post_init__(self) -> None:
-        if self.generation < 1:
-            raise KnowledgeError(f"generation must be >= 1, got {self.generation}")
-        if self.created_at < 0:
-            raise KnowledgeError(f"created_at must be >= 0, got {self.created_at}")
-        if self.mode not in classify_activity(self.activity):
-            raise ModeMismatch(
-                f"{self.mode.value} is not a permitted mode for {self.activity.value}"
-            )
+    def __init__(self, record_id: str, product_id: ProductID, generation: int,
+                 activity: Activity, mode: KnowledgeMode, source: KnowledgeSource,
+                 payload: str, created_at: int) -> None:
+        if generation < 1:
+            raise KnowledgeError(f"generation must be >= 1, got {generation}")
+        if created_at < 0:
+            raise KnowledgeError(f"created_at must be >= 0, got {created_at}")
+        if mode not in ACTIVITY_MODES[activity]:
+            raise ModeMismatch(f"{mode.value} is not a permitted mode for {activity.value}")
+        _set_record_id(self, record_id)
+        _set_product_id(self, product_id)
+        _set_generation(self, generation)
+        _set_activity(self, activity)
+        _set_mode(self, mode)
+        _set_source(self, source)
+        _set_payload(self, payload)
+        _set_created_at(self, created_at)
 
     @property
     def family(self) -> str:
@@ -124,6 +132,11 @@ class KnowledgeRecord:
                 f'"activity":{_quote(self.activity._value_)},"mode":{_quote(self.mode._value_)},'
                 f'"source":{_quote(self.source._value_)},"payload":{_quote(self.payload)},'
                 f'"created_at":{_int(self.created_at)}}}')
+
+
+(_set_record_id, _set_product_id, _set_generation, _set_activity, _set_mode, _set_source,
+ _set_payload, _set_created_at) = (KnowledgeRecord.__dict__[name].__set__
+                                   for name in KnowledgeRecord.__slots__)
 
 
 @dataclass(frozen=True)
@@ -180,33 +193,6 @@ def write_lines(path: Path | str, lines: Iterable[str]) -> None:
             out.write("\n".join(chunk))
 
 
-_new_record = object.__new__
-(_set_record_id, _set_product_id, _set_generation, _set_activity, _set_mode, _set_source,
- _set_payload, _set_created_at) = (KnowledgeRecord.__dict__[name].__set__
-                                   for name in KnowledgeRecord.__slots__)
-
-
-def _bare_record(record_id: str, product_id: ProductID, generation: int, activity: Activity,
-                 mode: KnowledgeMode, source: KnowledgeSource, payload: str,
-                 created_at: int) -> KnowledgeRecord:
-    """``KnowledgeRecord(...)`` for a builder whose activity and mode are a
-    fixed, permitted pair: it checks only the generation and the tick."""
-    if generation < 1:
-        raise KnowledgeError(f"generation must be >= 1, got {generation}")
-    if created_at < 0:
-        raise KnowledgeError(f"created_at must be >= 0, got {created_at}")
-    record = _new_record(KnowledgeRecord)
-    _set_record_id(record, record_id)
-    _set_product_id(record, product_id)
-    _set_generation(record, generation)
-    _set_activity(record, activity)
-    _set_mode(record, mode)
-    _set_source(record, source)
-    _set_payload(record, payload)
-    _set_created_at(record, created_at)
-    return record
-
-
 def tacit_record(
     record_id: str,
     product_id: ProductID,
@@ -217,9 +203,9 @@ def tacit_record(
 ) -> KnowledgeRecord:
     """An automatically collected observation: a self-sourced
     IntelligentProduct record whose payload is the category and note."""
-    return _bare_record(record_id, product_id, generation, Activity.INTELLIGENT_PRODUCT,
-                        KnowledgeMode.TACIT, KnowledgeSource.SELF_SOURCE,
-                        f"{category} {note}".strip(), tick)
+    return KnowledgeRecord(record_id, product_id, generation, Activity.INTELLIGENT_PRODUCT,
+                           KnowledgeMode.TACIT, KnowledgeSource.SELF_SOURCE,
+                           f"{category} {note}".strip(), tick)
 
 
 def explicit_record(
@@ -232,5 +218,5 @@ def explicit_record(
     """Customer feedback: an explicit, collectively sourced Customer record."""
     if not feedback_text:
         raise EmptyFeedback("feedback text must be non-empty")
-    return _bare_record(record_id, product_id, generation, Activity.CUSTOMER,
-                        KnowledgeMode.EXPLICIT, KnowledgeSource.COLLECTIVE, feedback_text, tick)
+    return KnowledgeRecord(record_id, product_id, generation, Activity.CUSTOMER,
+                           KnowledgeMode.EXPLICIT, KnowledgeSource.COLLECTIVE, feedback_text, tick)

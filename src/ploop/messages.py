@@ -22,7 +22,7 @@ KEY_KNOWLEDGE_RECORD = "knowledge.record"
 KEY_DESIGN_TRIGGER = "design.trigger"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SensorBatch:
     """A readout of on-product sensor events, tagged with the tacit
     category it evidences (use, environment, failure)."""
@@ -32,6 +32,18 @@ class SensorBatch:
     category: str
     events: tuple[SensorEvent, ...]
     note: str = ""
+
+    def __init__(self, product_id: ProductID, generation: int, category: str,
+                 events: tuple[SensorEvent, ...], note: str = "") -> None:
+        _set_product_id(self, product_id)
+        _set_generation(self, generation)
+        _set_category(self, category)
+        _set_events(self, events)
+        _set_note(self, note)
+
+
+_set_product_id, _set_generation, _set_category, _set_events, _set_note = (
+    SensorBatch.__dict__[name].__set__ for name in SensorBatch.__slots__)
 
 
 @dataclass(frozen=True, slots=True)

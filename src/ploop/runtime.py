@@ -48,8 +48,8 @@ A hop costs a fixed handful of small objects and no scan of the world.
 pair's latency up once under either node order, and builds the
 ``Transfer`` and the logged event with a bare ``tuple.__new__`` (0.2 and
 0.3 µs, where the NamedTuple constructors take 0.4 and 0.45 µs). On
-arrival ``agents.moved`` builds the landed ``AgentState`` (0.5 µs, where
-its constructor takes 1.1 µs), which is indexed in place and logged.
+arrival the landed ``AgentState`` is built through its constructor
+(0.5 µs), indexed in place and logged.
 ``severed`` is one dict lookup and, for a pair with windows, one
 ``bisect`` over its merged bounds (0.3 µs, where a loop over ten windows
 took 0.55 µs). Timings: Python 3.11, 2-core x86-64 VM. Step 2 scans the
@@ -69,14 +69,14 @@ insert are appended as bare tuples, and an insert reads its record's
 enum values from the members' ``_value_`` attributes rather than through
 the ``value`` property. Same VM as above.
 
-A spawn, a reading and a record cost their fields and only the checks
-their inputs have not passed: each is built once, bare, its slots set
-through their descriptors as ``agents.moved`` sets a landed agent's.
-``spawn_agent`` checks that an AgentProduct has a product among its other
-refusals and indexes and logs the agent inline (1.4 µs, where it took
-2.4 µs); ``build_world`` checks a batch's tick once for all its readings
-(0.47 µs a reading, where it took 0.9 µs); a record builder checks only
-the generation and the tick (1.1 µs, where it took 2.3 µs). Same VM.
+An agent state, a reading, a batch and a record each have one
+constructor, the fast path: a hand-written ``__init__`` states each rule
+once and sets the slots through the class's own descriptors, past the
+frozen ``__setattr__`` (``AgentState`` 0.5–0.7 µs, ``SensorEvent``
+0.45 µs, ``SensorBatch`` 0.6 µs, ``KnowledgeRecord`` 1.2 µs, where the
+generated constructors took 1.2, 0.8, 0.9 and 1.8 µs). ``spawn_agent``
+builds the state after its own refusals and before it touches an index,
+and indexes and logs the agent inline (1.8 µs). Same VM.
 
 Fail-closed faults: partitioned migrations are refused at send time and
 logged; partitioned deliveries are dropped and logged; no message or agent
@@ -105,20 +105,12 @@ from types import MappingProxyType
 from typing import Any, Collection, Iterable, Mapping, NamedTuple
 
 from .agents import (
-    AgentError,
     AgentRole,
     AgentState,
     Effect,
     SendMessage,
     UnhandledMessage,
-    _new_agent,
-    _set_id,
-    _set_itinerary,
-    _set_location,
-    _set_product,
-    _set_role,
     handle,
-    moved,
     plan_migration,
 )
 from .identity import (
@@ -645,23 +637,15 @@ class World:
             raise UnknownNode(f"itinerary node {stop!r} is not registered")
         if agent_id in self.agents:
             raise SimulationError(f"agent id already registered: {agent_id!r}")
+        itinerary = _drop_heads(itinerary, home)
+        state = AgentState(agent_id, role, home, product_id, itinerary)
         if role is AgentRole.PRODUCT:
-            if product_id is None:
-                raise AgentError("AgentProduct requires a product_id")
             bound = self._by_product.get(product_id)
             if bound is not None:
                 raise SimulationError(
                     f"AgentProduct {agent_id!r}: product {product_id.render()!r} is "
                     f"already bound to AgentProduct {bound!r}")
             self._by_product[product_id] = agent_id
-        # Built bare: the one rule of AgentState.__post_init__ is checked above.
-        itinerary = _drop_heads(itinerary, home)
-        state = _new_agent(AgentState)
-        _set_id(state, agent_id)
-        _set_role(state, role)
-        _set_location(state, home)
-        _set_product(state, product_id)
-        _set_itinerary(state, itinerary)
         self.agents[agent_id] = state
         self._residents.add(agent_id)
         self._by_role[role].add(agent_id)
@@ -796,7 +780,7 @@ def _complete_due_migrations(world: World) -> None:
         if world.severed(source, target):
             continue
         itinerary = _drop_heads(agent.itinerary, target)
-        agents[agent_id] = moved(agent, target, itinerary)
+        agents[agent_id] = AgentState(agent_id, agent.role, target, agent.product_id, itinerary)
         # Index the agent where it now stands.
         residents.add(agent_id)
         by_role[agent.role].add(agent_id)

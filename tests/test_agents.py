@@ -12,7 +12,6 @@ from ploop.agents import (
     SendMessage,
     UnhandledMessage,
     handle,
-    moved,
     plan_migration,
 )
 from ploop.identity import SensorEvent, mint_product_id
@@ -262,10 +261,13 @@ class TestPlanMigration:
 
 
 class TestMoved:
+    """A landed agent is built as arrival builds it: ``AgentState(...)``
+    from the agent's id, role and product and its new place."""
+
     @pytest.mark.parametrize("role", list(AgentRole))
     def test_equals_replace_and_stays_frozen(self, role):
         agent = make_agent(role, location="n1", itinerary=("n2", "n3"))
-        landed = moved(agent, "n2", ("n3",))
+        landed = AgentState(agent.agent_id, agent.role, "n2", agent.product_id, ("n3",))
         expected = dataclasses.replace(agent, location="n2", itinerary=("n3",))
         assert type(landed) is AgentState
         assert landed == expected and hash(landed) == hash(expected)
@@ -281,4 +283,4 @@ class TestMoved:
         with pytest.raises(AgentError):
             AgentState("a-02", AgentRole.PRODUCT, "n1")
         with pytest.raises(AgentError):
-            dataclasses.replace(moved(agent, "n2", ()), product_id=None)
+            dataclasses.replace(agent, location="n2", itinerary=(), product_id=None)

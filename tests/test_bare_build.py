@@ -1,11 +1,13 @@
-"""Values the engine builds bare, past their constructors, are the values
-the public constructors build from the same fields, and every refusal the
-constructor makes is still made, with its exception type and message.
+"""Values the engine builds are the values the public constructors build
+from the same fields, and every refusal the constructor makes is still
+made, with its exception type and message.
 
-The bare builds are a spawned ``AgentState`` (``World.spawn_agent``), a
-reading's ``SensorEvent`` and its ``SensorBatch`` (``build_world``), a
-``KnowledgeRecord`` (``tacit_record`` and ``explicit_record``) and a PEID
-(``record_event``). A PEID's readings, on every fixture and golden
+Each of ``AgentState``, ``SensorEvent``, ``SensorBatch`` and
+``KnowledgeRecord`` has one constructor, its hand-written ``__init__``,
+which the engine calls too: for a spawned agent (``World.spawn_agent``),
+a reading and its batch (``build_world``) and a record (``tacit_record``
+and ``explicit_record``). A PEID is still built past its constructor, by
+``record_event``. A PEID's readings, on every fixture and golden
 scenario, equal reading for reading the log that the public
 ``SensorEvent`` constructor and ``record_event`` build from the same
 stimuli in delivery order.
@@ -41,7 +43,7 @@ PID = mint_product_id("px-9", "urn:mfg:acme")
 
 
 def assert_same_value(built, public):
-    """built, made bare by the engine, is indistinguishable from public."""
+    """built, made by the engine, is indistinguishable from public."""
     assert type(built) is type(public)
     assert built == public
     assert hash(built) == hash(public)

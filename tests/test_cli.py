@@ -551,6 +551,9 @@ MISTYPED_REPORT_FIELDS = {
     "dropped_messages is a string": (_set("dropped_messages", "1"),
                                      "dropped_messages must be an integer"),
     "migrations is null": (_set("migrations", None), "migrations must be an integer"),
+    "unknown top-level key": (_set("launch_tims", []), "report: unknown key 'launch_tims'"),
+    "unknown launch key": (_set("launch_times", 0, "tik", 19),
+                           "launch_times[0]: unknown key 'tik'"),
 }
 
 
