@@ -63,6 +63,7 @@ from .runtime import (
     EVT_MIGRATION_COMPLETED,
     EVT_RUN_FINISHED,
     EVT_RUN_STARTED,
+    EVENTS,
     Action,
     AgentRole,
     InvalidRoutingTable,
@@ -816,6 +817,12 @@ class RunReport:
 
 # The keys a report is read back from; any other key is refused.
 _REPORT_KEYS, _LAUNCH_KEYS = _keys(RunReport), _keys(LaunchTime)
+# The JSON kind of each detail key of the events a report reads, from the
+# type runtime.EVENTS declares for it.
+_STARTED, _INSERTED, _LAUNCHED, _EOL = (
+    {key: _TYPE_KINDS[type_.__name__] for key, type_ in EVENTS[kind][1].items()}
+    for kind in (EVT_RUN_STARTED, EVT_KNOWLEDGE_INSERTED, EVT_GENERATION_LAUNCHED,
+                 EVT_EOL_DECISION))
 
 
 def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
@@ -823,7 +830,8 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     world's events in ``run``, a saved log's decoded lines in ``ploop report``.
     A log holds one run: its first event is ``run_started``, no second one
     follows, and its last event is ``run_finished``, whose tick is the run's
-    length. Each detail field read must have its JSON type. Each rule is
+    length. Each detail field read must be present, of the type that
+    ``runtime.EVENTS`` declares for it. Each rule is
     checked as its event is read, the last after the last one, so a reader
     that counts the lines it yields can name the line refused."""
     first_record_tick: int | None = None
@@ -843,28 +851,31 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     tick, kind, _, _, _, detail = first
     if kind != EVT_RUN_STARTED:
         raise ScenarioValidationError(f"the first event is {kind!r}, not run_started")
-    scenario = _field(detail, "scenario", "a string", "", "run_started ")
-    seed = _field(detail, "seed", "an integer", 0, "run_started ")
-    _field(detail, "horizon", "an integer", 0, "run_started ")
+    scenario = _field(detail, "scenario", _STARTED["scenario"], what="run_started ")
+    seed = _field(detail, "seed", _STARTED["seed"], what="run_started ")
+    _field(detail, "horizon", _STARTED["horizon"], what="run_started ")
+    # Each count a record adds to, with the detail key it reads and its kind.
+    counted = ((by_mode, "mode", _INSERTED["mode"]), (by_source, "source", _INSERTED["source"]),
+               (by_activity, "activity", _INSERTED["activity"]))
     for tick, kind, _, _, _, detail in events:
         if kind == EVT_KNOWLEDGE_INSERTED:
             if first_record_tick is None:
                 first_record_tick = tick
-            for counts, key in ((by_mode, "mode"), (by_source, "source"),
-                                (by_activity, "activity")):
-                value = _field(detail, key, "a string", what="knowledge_inserted ")
+            for counts, key, json_kind in counted:
+                value = _field(detail, key, json_kind, what="knowledge_inserted ")
                 counts[value] = counts.get(value, 0) + 1
         elif kind == EVT_DESIGN_TRIGGER:
             if first_trigger_tick is None:
                 first_trigger_tick = tick
         elif kind == EVT_GENERATION_LAUNCHED:
             launch_times.append(LaunchTime(
-                _field(detail, "family", "a string", what="generation_launched "),
-                _field(detail, "generation", "an integer", what="generation_launched "),
+                _field(detail, "family", _LAUNCHED["family"], what="generation_launched "),
+                _field(detail, "generation", _LAUNCHED["generation"],
+                       what="generation_launched "),
                 tick,
             ))
         elif kind == EVT_EOL_DECISION:
-            decision = _field(detail, "decision", "a string", what="eol_decision ")
+            decision = _field(detail, "decision", _EOL["decision"], what="eol_decision ")
             eol_decisions[decision] = eol_decisions.get(decision, 0) + 1
         elif kind == EVT_MESSAGE_DROPPED:
             dropped += 1

@@ -46,35 +46,31 @@ costs only the recipients its rule resolves to.
 A hop costs a fixed handful of small objects and no scan of the world.
 ``migrate`` asks ``severed``, unindexes the agent in place, looks the
 pair's latency up once under either node order, and builds the
-``Transfer`` and the logged event with a bare ``tuple.__new__`` (0.2 and
-0.3 µs, where the NamedTuple constructors take 0.4 and 0.45 µs). On
-arrival the landed ``AgentState`` is built through its constructor
-(0.5 µs), indexed in place and logged.
-``severed`` is one dict lookup and, for a pair with windows, one
-``bisect`` over its merged bounds (0.3 µs, where a loop over ten windows
-took 0.55 µs). Timings: Python 3.11, 2-core x86-64 VM. Step 2 scans the
-in-flight transfers, returns at once when none is due, and sorts only
-the due ones (see ``Transfer`` for why this is a scan and not a heap).
+``Transfer`` and the logged event with a bare ``tuple.__new__``, past
+the NamedTuple's own ``__new__`` (0.2 and 0.3 µs). On arrival the landed
+``AgentState`` is built through its constructor (0.5 µs), indexed in
+place and logged. ``severed`` is one dict lookup and, for a pair with
+windows, one ``bisect`` over its merged bounds (0.3 µs). Timings: Python
+3.11, 2-core x86-64 VM. Step 2 scans the in-flight transfers, returns at
+once when none is due, and sorts only the due ones (see ``Transfer`` for
+why this is a scan and not a heap).
 
 A delivery costs its recipients and its records, and nothing fixed
 beside them. ``RoutingTable.first_match`` scans the rules for a key once
-and then answers from a memo (0.1 µs, where the scan took 0.34 µs for a
-key matching the first rule and 1.2 µs for one matching fleet's
-seventh). ``send`` builds the ``Message``, a NamedTuple, with a bare
-``tuple.__new__`` (0.18 µs, where the frozen dataclass took 0.9 µs) and
-formats its id with ``%`` (0.22 µs, where the f-string took 0.29 µs). A
-``ProductID`` renders once, when it is built (a read takes 0.06 µs,
-where formatting took 0.1 µs). The events of a send, a delivery and an
-insert are appended as bare tuples, and an insert reads its record's
-enum values from the members' ``_value_`` attributes rather than through
-the ``value`` property. Same VM as above.
+and then answers from a memo (0.1 µs, where a scan to fleet's seventh
+rule takes 1.2 µs). ``send`` builds the ``Message``, a NamedTuple, with
+a bare ``tuple.__new__`` (0.18 µs) and formats its id with ``%``
+(0.22 µs). A ``ProductID`` renders once, when it is built (a read takes
+0.06 µs). The events of a send, a delivery and an insert are appended
+as bare tuples, and an insert reads its record's enum values from the
+members' ``_value_`` attributes rather than through the ``value``
+property. Same VM as above.
 
 An agent state, a reading, a batch and a record each have one
-constructor, the fast path: a hand-written ``__init__`` states each rule
-once and sets the slots through the class's own descriptors, past the
-frozen ``__setattr__`` (``AgentState`` 0.5–0.7 µs, ``SensorEvent``
-0.45 µs, ``SensorBatch`` 0.6 µs, ``KnowledgeRecord`` 1.2 µs, where the
-generated constructors took 1.2, 0.8, 0.9 and 1.8 µs). ``spawn_agent``
+constructor: a hand-written ``__init__`` states each rule once and sets
+the slots through the class's own descriptors, past the frozen
+``__setattr__`` (``AgentState`` 0.5–0.7 µs, ``SensorEvent`` 0.45 µs,
+``SensorBatch`` 0.6 µs, ``KnowledgeRecord`` 1.2 µs). ``spawn_agent``
 builds the state after its own refusals and before it touches an index,
 and indexes and logs the agent inline (1.8 µs). Same VM.
 
@@ -88,7 +84,8 @@ one C encoder built at import, only when the line is written, and decodes
 it only when a saved log is read back. Decoding calls json's C scanner
 once for the line and once for a non-empty detail text, with no Python
 call between; what else a line costs is one test of all six envelope
-types, one of the detail's, and a bare ``tuple.__new__``.
+types, one of the detail's, and a bare ``tuple.__new__``. ``EVENTS``
+declares what each kind's line carries, and only readers check it.
 """
 
 from __future__ import annotations
@@ -179,28 +176,43 @@ class NodeKind(str, Enum):
     PRODUCT_EMBEDDED = "ProductEmbedded"
 
 
-# Event kinds appearing in the log.
-EVT_RUN_STARTED = "run_started"
-EVT_RUN_FINISHED = "run_finished"
-EVT_NODE_REGISTERED = "node_registered"
-EVT_PRODUCT_REGISTERED = "product_registered"
-EVT_AGENT_SPAWNED = "agent_spawned"
-EVT_MESSAGE_SENT = "message_sent"
-EVT_MESSAGE_DELIVERED = "message_delivered"
-EVT_MESSAGE_DROPPED = "message_dropped"
-EVT_MESSAGE_BLOCKED = "message_blocked"
-EVT_UNHANDLED_MESSAGE = "unhandled_message"
-EVT_KNOWLEDGE_INSERTED = "knowledge_inserted"
-EVT_DESIGN_TRIGGER = "design_trigger"
-EVT_GENERATION_STARTED = "generation_started"
-EVT_GENERATION_LAUNCHED = "generation_launched"
-EVT_LIFECYCLE_ADVANCED = "lifecycle_advanced"
-EVT_LIFECYCLE_REFUSED = "lifecycle_refused"
-EVT_EOL_DECISION = "eol_decision"
-EVT_MIGRATION_STARTED = "migration_started"
-EVT_MIGRATION_COMPLETED = "migration_completed"
-EVT_MIGRATION_REFUSED = "migration_refused"
-EVT_PEID_REFUSED = "peid_refused"
+# The event vocabulary: each kind a log line may name, with the envelope
+# fields it sets beside tick and event_kind (every other one is "") and
+# its detail keys with the type each decodes to. "node?" is a product's
+# node, "" for a product declared without one; a detail key ending in "?"
+# may be absent. The writer checks nothing against it; readers do.
+EVENTS: dict[str, tuple[tuple[str, ...], dict[str, type]]] = {
+    "run_started": ((), {"scenario": str, "seed": int, "horizon": int}),
+    "run_finished": ((), {"ticks": int}),
+    "node_registered": (("node",), {"kind": str}),
+    "product_registered": (("node?",), {"family": str, "generation": int, "phase": str,
+                                        "intelligence": str, "channel?": str,
+                                        "granularity?": str}),
+    "agent_spawned": (("node", "agent"), {"role": str, "product": str}),
+    "message_sent": (("node", "agent", "msg_id"), {"key": str, "kind": str}),
+    "message_delivered": (("node", "agent", "msg_id"), {"origin": str, "key": str}),
+    "message_dropped": (("node", "msg_id"), {"key": str}),
+    "message_blocked": (("node", "agent", "msg_id"), {"origin": str, "key": str}),
+    "unhandled_message": (("node", "agent", "msg_id"), {"kind": str, "reason": str}),
+    "knowledge_inserted": (("node", "agent"), {"family": str, "generation": int, "mode": str,
+                                               "source": str, "activity": str,
+                                               "record_id": str}),
+    "design_trigger": (("node", "msg_id"), {"family": str, "from_generation": int,
+                                            "next_generation": int}),
+    "generation_started": ((), {"family": str, "generation": int}),
+    "generation_launched": ((), {"family": str, "generation": int}),
+    "lifecycle_advanced": (("node?",), {"family": str, "generation": int, "event": str,
+                                        "from_phase": str, "to_phase": str}),
+    "lifecycle_refused": (("node?",), {"family": str, "generation": int, "event": str,
+                                       "phase": str}),
+    "eol_decision": (("node?",), {"family": str, "generation": int, "decision": str}),
+    "migration_started": (("node", "agent"), {"target": str, "arrive_at": int}),
+    "migration_completed": (("node", "agent"), {"source": str}),
+    "migration_refused": (("node", "agent"), {"target": str, "reason": str}),
+    "peid_refused": (("node?", "msg_id"), {"family": str, "reason": str}),
+}
+# One name per kind: EVT_RUN_STARTED is "run_started", and so on.
+globals().update({"EVT_" + kind.upper(): kind for kind in EVENTS})
 
 
 # What json.dumps writes for an int; _quote is what it writes for a str.
@@ -314,8 +326,6 @@ class RoutingRule:
     recipients: tuple[str, ...]
 
     def matches(self, key: str) -> bool:
-        if self.pattern == "*":
-            return True
         if self.pattern.endswith("*"):
             return key.startswith(self.pattern[:-1])
         return key == self.pattern

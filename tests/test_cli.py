@@ -337,8 +337,10 @@ def test_no_single_leaf_mutation_exits_2(fixtures_dir, tmp_path, capsys):
 
 EVENT = ('{{"tick":{},"event_kind":"{}","node":"","agent":"","msg_id":"",'
          '"detail":{}}}\n')
-STARTED = EVENT.format(0, "run_started", '"{}"')
+STARTED = EVENT.format(0, "run_started", json.dumps('{"horizon":9,"scenario":"s","seed":1}'))
 FINISHED = EVENT.format(9, "run_finished", '"{}"')
+# A run_started line and 120 more: past the first 8 KB the reader reads.
+PAST_8_KB = (STARTED + EVENT.format(1, "x", '""') * 120).encode()
 # Nesting deep enough that json.loads raises RecursionError.
 DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -393,6 +395,9 @@ BAD_INPUTS = {
     "report: no run_finished line": (
         "report", STARTED + EVENT.format(1, "x", '""'),
         ":2: not a run log (the last event is 'x', not run_finished)\n"),
+    "report: run_started without its detail": (
+        "report", EVENT.format(0, "run_started", '""') + FINISHED,
+        ":1: not a run log (run_started scenario must be a string, got NoneType)\n"),
     "report: run_started alone": (
         "report", STARTED,
         ":1: not a run log (the last event is 'run_started', not run_finished)\n"),
@@ -406,8 +411,8 @@ BAD_INPUTS = {
     "report: not UTF-8": ("report", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     # Past the first 8 KB read, after events have already been decoded.
     "report: not UTF-8 after 8 KB": (
-        "report", (STARTED + EVENT.format(1, "x", '""') * 120).encode() + b"\xff\n",
-        ":122: not UTF-8 (byte 0xff at offset 8845)"),
+        "report", PAST_8_KB + b"\xff\n",
+        f":122: not UTF-8 (byte 0xff at offset {len(PAST_8_KB)})"),
     "validate: not UTF-8": ("validate", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     "validate: nests too deeply": ("validate", DEEP, "nests too deeply"),
     "run: not UTF-8": ("run", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),

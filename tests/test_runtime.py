@@ -1025,7 +1025,9 @@ class TestWorldRules:
         assert EVT_KNOWLEDGE_INSERTED not in kinds
         assert EVT_MESSAGE_DELIVERED not in kinds
         assert world.agents["ap-01"].location == "garage"
-        run_log = [LoggedEvent(0, "run_started"), *world.events, LoggedEvent(5, "run_finished")]
+        started = LoggedEvent(0, "run_started",
+                              detail={"scenario": "s", "seed": 1, "horizon": 5})
+        run_log = [started, *world.events, LoggedEvent(5, "run_finished")]
         assert compute_report(run_log).dropped_messages == 1
 
     def test_event_log_line_shape(self):
