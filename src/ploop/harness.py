@@ -229,12 +229,16 @@ _GRANULARITIES = {size.value: size for size in IntelligenceGranularity}
 _ALL_CAPABILITY_VALUES = [cap.value for cap in PEIDCapability]
 
 
-def _field(raw: dict[str, Any], key: str, kind: str, default: Any = None, what: str = "") -> Any:
-    """raw[key], or default when absent, required to be of the named kind."""
+def _field(raw: dict[str, Any], key: str, kind: str, default: Any = MISSING,
+           what: str = "") -> Any:
+    """raw[key], or default when absent, required to be of the named kind.
+    An absent key with no default is refused as missing, a null as null."""
     value = raw.get(key, default)
     if type(value) not in _KINDS[kind]:
-        raise ScenarioValidationError(
-            f"{what}{key} must be {kind}, got {type(value).__name__}")
+        if value is MISSING:
+            raise ScenarioValidationError(f"{what}{key} is missing")
+        got = "null" if value is None else type(value).__name__
+        raise ScenarioValidationError(f"{what}{key} must be {kind}, got {got}")
     return value
 
 
@@ -263,8 +267,8 @@ def _counts(raw: dict[str, Any], key: str) -> dict[str, int]:
     """The name -> count object under raw[key]."""
     counts = _field(raw, key, "an object")
     for name, value in counts.items():
-        _require(type(value) is int, "{}.{} must be an integer, got {}",
-                 key, name, type(value).__name__)
+        if type(value) is not int:
+            _field(counts, name, "an integer", what=f"{key}.")
     return dict(counts)
 
 
@@ -454,8 +458,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             bound[product] = agent_id
         itinerary = get("itinerary", [])
         if type(itinerary) is not list:
-            raise ScenarioValidationError(
-                f"agent {agent_id!r}: itinerary must be a list, got {type(itinerary).__name__}")
+            _field(raw, "itinerary", "a list", what=f"agent {agent_id!r}: ")
         # Two C passes accept a list of known node ids.
         if itinerary and not (_STRS.issuperset(map(type, itinerary))
                               and node_ids.issuperset(itinerary)):
@@ -494,8 +497,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                 f"latency pair ({a!r}, {b!r}) must name two distinct nodes")
         ticks_ = raw.get("ticks")
         if type(ticks_) is not int:
-            raise ScenarioValidationError(
-                f"latency ticks must be an integer, got {type(ticks_).__name__}")
+            _field(raw, "ticks", "an integer", what="latency ")
         if ticks_ < 1:
             raise ScenarioValidationError("latency ticks must be an integer >= 1")
         key = _pair(a, b)
@@ -515,9 +517,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             raise ScenarioValidationError(f"partition ({a!r}, {b!r}) must name two distinct nodes")
         lo, hi = raw.get("from_tick"), raw.get("to_tick")
         if type(lo) is not int or type(hi) is not int:
-            key, value = ("from_tick", lo) if type(lo) is not int else ("to_tick", hi)
-            raise ScenarioValidationError(f"partition ({a!r}, {b!r}): {key} must be an "
-                                          f"integer, got {type(value).__name__}")
+            for key in ("from_tick", "to_tick"):
+                _field(raw, key, "an integer", what=f"partition ({a!r}, {b!r}): ")
         if not 0 <= lo <= hi:
             raise ScenarioValidationError(
                 f"partition ({a!r}, {b!r}) needs 0 <= from_tick <= to_tick")
@@ -535,8 +536,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             _unknown_keys(raw, known, f"stimuli[{i}] ({kind})")
         tick_ = get("tick")
         if type(tick_) is not int:
-            raise ScenarioValidationError(
-                f"stimulus tick must be an integer, got {type(tick_).__name__}")
+            _field(raw, "tick", "an integer", what="stimulus ")
         if not 1 <= tick_ <= horizon:
             raise ScenarioValidationError(
                 f"stimulus tick {tick_!r} must be within 1..{horizon}")
@@ -658,9 +658,7 @@ def load_scenario(path: Path | str) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2) + "\n", encoding="utf-8"
-    )
+    write_lines(path, (json.dumps(scenario_to_dict(scenario), indent=2),))
 
 
 # -- world construction and execution ----------------------------------------
@@ -811,8 +809,10 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        """The report as written to ``<name>.report.json``."""
-        return json.dumps(asdict(self), indent=2) + "\n"
+        """The report as written to ``<name>.report.json``: its fields in
+        declaration order, read without the deep copy that ``asdict`` makes."""
+        doc = {**vars(self), "launch_times": [vars(lt) for lt in self.launch_times]}
+        return json.dumps(doc, indent=2) + "\n"
 
 
 # The keys a report is read back from; any other key is refused.
@@ -951,8 +951,9 @@ def write_run_files(
         "repository": out / f"{name}.repository.jsonl",
     }
     write_lines(paths["events"], map(LoggedEvent.to_json_line, world.events))
-    paths["report_json"].write_text(report.to_json(), encoding="utf-8")
-    paths["report_text"].write_text(report.to_text(), encoding="utf-8")
+    # Each report text ends in the newline that write_lines adds.
+    write_lines(paths["report_json"], (report.to_json()[:-1],))
+    write_lines(paths["report_text"], (report.to_text()[:-1],))
     world.repository.save(paths["repository"])
     return paths
 

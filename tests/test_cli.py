@@ -234,7 +234,7 @@ MISTYPED_FIELDS = {
         "routing rule 'feedback.customer': recipient 'AgentCustomr' names no role "
         "and no declared agent"),
     "serial is null": (_set("products", 0, "serial", None),
-                       "product serial must be a string, got NoneType"),
+                       "product serial must be a string, got null"),
     "uri is a number": (_set("products", 0, "uri", 7),
                         "product 'px-100': uri must be a string, got int"),
     "misspelled param": (_set("params", "trigger_treshold", 5),
@@ -341,6 +341,12 @@ STARTED = EVENT.format(0, "run_started", json.dumps('{"horizon":9,"scenario":"s"
 FINISHED = EVENT.format(9, "run_finished", '"{}"')
 # A run_started line and 120 more: past the first 8 KB the reader reads.
 PAST_8_KB = (STARTED + EVENT.format(1, "x", '""') * 120).encode()
+# A report with a launch, as `compare` reads it, less loop_closure_latency.
+REPORT_WITHOUT_CLOSURE = json.dumps({
+    "scenario": "s", "seed": 1, "total_ticks": 9,
+    "launch_times": [{"family": "f", "generation": 2, "tick": 5}],
+    "knowledge_by_mode": {}, "knowledge_by_source": {}, "knowledge_by_activity": {},
+    "eol_decisions": {}, "dropped_messages": 0, "migrations": 0})
 # Nesting deep enough that json.loads raises RecursionError.
 DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -397,7 +403,7 @@ BAD_INPUTS = {
         ":2: not a run log (the last event is 'x', not run_finished)\n"),
     "report: run_started without its detail": (
         "report", EVENT.format(0, "run_started", '""') + FINISHED,
-        ":1: not a run log (run_started scenario must be a string, got NoneType)\n"),
+        ":1: not a run log (run_started scenario is missing)\n"),
     "report: run_started alone": (
         "report", STARTED,
         ":1: not a run log (the last event is 'run_started', not run_finished)\n"),
@@ -418,6 +424,9 @@ BAD_INPUTS = {
     "run: not UTF-8": ("run", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     "compare: not UTF-8": ("compare", b"\xff\xfe", ":1: not UTF-8 (byte 0xff at offset 0)"),
     "compare: nests too deeply": ("compare", DEEP, "nests too deeply"),
+    "compare: a report lacks a key": (
+        "compare", REPORT_WITHOUT_CLOSURE,
+        ": not a run report (loop_closure_latency is missing)\n"),
     **{f"{command}: {case}": (command, _closed_loop(*change), message)
        for command in ("validate", "run")
        for case, (change, message) in SCENARIO_REFUSALS.items()},
@@ -527,7 +536,7 @@ MISTYPED_REPORT_FIELDS = {
     "report is a list": (lambda doc: [doc], "a report must be an object"),
     "scenario is a number": (_set("scenario", 7), "scenario must be a string"),
     "seed is a bool": (_set("seed", True), "seed must be an integer"),
-    "seed is missing": (_drop("seed"), "seed must be an integer"),
+    "seed is missing": (_drop("seed"), "seed is missing"),
     "total_ticks is a float": (_set("total_ticks", 60.0), "total_ticks must be an integer"),
     "launch_times is an object": (_set("launch_times", {}), "launch_times must be a list"),
     "launch entry is a list": (_set("launch_times", 0, []),

@@ -20,6 +20,7 @@ from ploop.harness import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from ploop.knowledge import CHUNK_LINES, write_lines
 from ploop.runtime import LoggedEvent, SimParams
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -278,6 +279,85 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"error: {log}:30: not a run log "
             "(the last event is 'message_sent', not run_finished)\n")
+
+
+RUN_FILES = ("events.jsonl", "report.json", "report.txt", "repository.jsonl")
+
+
+class TestRunFiles:
+    """``ploop run`` rewrites an existing output in place and cuts it to the
+    new length, following a link to the file it names."""
+
+    def run_closed_loop(self, fixtures_dir, out):
+        return main(["run", "--scenario", str(fixtures_dir / "closed_loop.scn"),
+                     "--out", str(out)])
+
+    def fresh(self, fixtures_dir, tmp_path):
+        """Each run file's bytes, written into a new directory."""
+        assert self.run_closed_loop(fixtures_dir, tmp_path / "fresh") == 0
+        return {name: (tmp_path / "fresh" / f"closed_loop.{name}").read_bytes()
+                for name in RUN_FILES}
+
+    def test_rerun_over_longer_files_matches_a_fresh_directory(self, fixtures_dir, tmp_path,
+                                                               capsys):
+        expected = self.fresh(fixtures_dir, tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name, data in expected.items():
+            (out / f"closed_loop.{name}").write_bytes(b"x" * (len(data) + 4096))
+        assert self.run_closed_loop(fixtures_dir, out) == 0
+        assert {name: (out / f"closed_loop.{name}").read_bytes()
+                for name in RUN_FILES} == expected
+
+    def test_symlinked_output_rewrites_its_target_and_keeps_the_link(
+            self, fixtures_dir, tmp_path, capsys):
+        expected = self.fresh(fixtures_dir, tmp_path)["events.jsonl"]
+        target, out = tmp_path / "target.jsonl", tmp_path / "out"
+        target.write_bytes(b"x" * (len(expected) + 4096))
+        out.mkdir()
+        (out / "closed_loop.events.jsonl").symlink_to(target)
+        assert self.run_closed_loop(fixtures_dir, out) == 0
+        assert (out / "closed_loop.events.jsonl").readlink() == target
+        assert target.read_bytes() == expected
+
+    def test_hard_linked_output_keeps_its_inode(self, fixtures_dir, tmp_path, capsys):
+        expected = self.fresh(fixtures_dir, tmp_path)["report.json"]
+        out = tmp_path / "out"
+        out.mkdir()
+        report, other = out / "closed_loop.report.json", tmp_path / "other.json"
+        report.write_bytes(b"x" * (len(expected) + 4096))
+        other.hardlink_to(report)
+        assert self.run_closed_loop(fixtures_dir, out) == 0
+        assert report.read_bytes() == other.read_bytes() == expected
+        assert report.stat().st_ino == other.stat().st_ino
+        assert report.stat().st_nlink == 2
+
+    def test_a_failed_write_leaves_only_the_lines_written(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b"x" * 100_000)
+
+        def lines():
+            for i in range(CHUNK_LINES + 3):
+                yield str(i)
+            raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError):
+            write_lines(path, lines())
+        assert path.read_text() == "".join(f"{i}\n" for i in range(CHUNK_LINES))
+
+    def test_output_symlinked_to_dev_null_is_written(self, fixtures_dir, tmp_path, capsys):
+        log = tmp_path / "closed_loop.events.jsonl"
+        log.symlink_to("/dev/null")
+        assert self.run_closed_loop(fixtures_dir, tmp_path) == 0, capsys.readouterr().err
+        assert log.readlink() == Path("/dev/null")
+        assert (tmp_path / "closed_loop.report.json").read_bytes()
+
+    def test_output_that_is_a_directory_exits_1_naming_it(self, fixtures_dir, tmp_path,
+                                                            capsys):
+        path = tmp_path / "closed_loop.report.json"
+        path.mkdir()
+        assert self.run_closed_loop(fixtures_dir, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {path}: Is a directory\n"
 
 
 class TestCompare:

@@ -1,16 +1,17 @@
 """The scenario loader against a reference copy of the previous one.
 
 The reference is the previous ``scenario_from_dict`` and the helpers it
-calls, kept verbatim below (only the key sets are written out): one helper
-call per check, an Enum call per role and kind, and a dataclass per agent
-and stimulus. For every input, ``harness.scenario_from_dict`` must give an
-equal ``Scenario``, with the same repr, or raise the same exception class
-with the same message: the five fixtures and the three golden scenarios,
-every field of every fixture set to each of ``test_cli.FIELD_VALUES``,
-dropped, or given the value of the same field in the previous entry of
-its list, every object given an unknown key, and seeded mutations of the
-golden scenarios of those kinds, some of which copy one field's value
-into another.
+calls, kept verbatim below (only the key sets are written out, and
+``_field`` names an absent key as missing and a null as null, as the
+package's does): one helper call per check, an Enum call per role and
+kind, and a dataclass per agent and stimulus. For every input,
+``harness.scenario_from_dict`` must give an equal ``Scenario``, with the
+same repr, or raise the same exception class with the same message: the
+five fixtures and the three golden scenarios, every field of every
+fixture set to each of ``test_cli.FIELD_VALUES``, dropped, or given the
+value of the same field in the previous entry of its list, every object
+given an unknown key, and seeded mutations of the golden scenarios of
+those kinds, some of which copy one field's value into another.
 """
 
 import json
@@ -94,12 +95,16 @@ _KINDS = {
 }
 
 
-def _field(raw: dict[str, Any], key: str, kind: str, default: Any = None, what: str = "") -> Any:
-    """raw[key], or default when absent, required to be of the named kind."""
+def _field(raw: dict[str, Any], key: str, kind: str, default: Any = MISSING,
+           what: str = "") -> Any:
+    """raw[key], or default when absent, required to be of the named kind.
+    An absent key with no default is refused as missing, a null as null."""
     value = raw.get(key, default)
     if type(value) not in _KINDS[kind]:
-        raise ScenarioValidationError(
-            f"{what}{key} must be {kind}, got {type(value).__name__}")
+        if value is MISSING:
+            raise ScenarioValidationError(f"{what}{key} is missing")
+        got = "null" if value is None else type(value).__name__
+        raise ScenarioValidationError(f"{what}{key} must be {kind}, got {got}")
     return value
 
 
