@@ -1,10 +1,12 @@
 """Behavior rules for the five agent roles.
 
-Agents are deterministic rule tables: ``handle`` maps (state, message,
-tick) to a list of effects and mutates nothing itself. The runtime owns
-all side effects; an agent's knowledge emissions and sends only happen
-when the runtime applies the returned effects, and an agent keeps no
-memory between messages. Its itinerary is data too: each tick the runtime
+Agents follow one deterministic rule table, ``_RULES``: six rules, each
+for a (role, payload type) pair, and no rule for any other pair.
+``handle`` maps (state, message, tick) through it to a list of effects
+and mutates nothing itself. The runtime owns all side effects; an
+agent's knowledge emissions and sends only happen when the runtime
+applies the returned effects, and an agent keeps no memory between
+messages. Its itinerary is data too: each tick the runtime
 migrates a resident agent with stops left to ``plan_migration``'s answer,
 the itinerary head.
 
@@ -129,74 +131,71 @@ def _batch_record(agent: AgentState, message: Message, tick: int) -> KnowledgeRe
                         batch.category, batch.note, tick)
 
 
-def _handle_product(agent: AgentState, message: Message, tick: int) -> list[Effect]:
-    payload = message.payload
-    if isinstance(payload, SensorBatch):
-        if not payload.events:
-            return []
-        return [EmitKnowledge(_batch_record(agent, message, tick))]
-    if isinstance(payload, ServiceOrder):
-        # Acknowledge the repair order; the runtime advances the phase.
+def _product_batch(agent: AgentState, message: Message, tick: int) -> list[Effect]:
+    if not message.payload.events:
         return []
-    raise UnhandledMessage(f"AgentProduct has no rule for {payload_kind(payload)}")
+    return [EmitKnowledge(_batch_record(agent, message, tick))]
 
 
-def _handle_service(agent: AgentState, message: Message, tick: int) -> list[Effect]:
+def _acknowledge(agent: AgentState, message: Message, tick: int) -> list[Effect]:
+    # Acknowledge the repair order; the runtime advances the phase.
+    return []
+
+
+def _service_fault(agent: AgentState, message: Message, tick: int) -> list[Effect]:
     payload = message.payload
-    if isinstance(payload, FaultReported):
-        order = ServiceOrder(
-            product_id=payload.product_id,
-            generation=payload.generation,
-            detail=payload.detail,
-        )
-        record = tacit_record(_record_id(agent, message), payload.product_id,
-                              payload.generation, "service", payload.detail, tick)
-        return [SendMessage(KEY_SERVICE_ORDER, order), EmitKnowledge(record)]
-    raise UnhandledMessage(f"AgentService has no rule for {payload_kind(payload)}")
+    order = ServiceOrder(
+        product_id=payload.product_id,
+        generation=payload.generation,
+        detail=payload.detail,
+    )
+    record = tacit_record(_record_id(agent, message), payload.product_id,
+                          payload.generation, "service", payload.detail, tick)
+    return [SendMessage(KEY_SERVICE_ORDER, order), EmitKnowledge(record)]
 
 
-def _handle_customer(agent: AgentState, message: Message, tick: int) -> list[Effect]:
+def _customer_feedback(agent: AgentState, message: Message, tick: int) -> list[Effect]:
     payload = message.payload
-    if isinstance(payload, CustomerFeedback):
-        record = explicit_record(_record_id(agent, message), payload.product_id,
-                                 payload.generation, payload.text, tick)
-        return [EmitKnowledge(record)]
-    raise UnhandledMessage(f"AgentCustomer has no rule for {payload_kind(payload)}")
+    record = explicit_record(_record_id(agent, message), payload.product_id,
+                             payload.generation, payload.text, tick)
+    return [EmitKnowledge(record)]
 
 
-def _handle_impact(agent: AgentState, message: Message, tick: int) -> list[Effect]:
-    payload = message.payload
-    if isinstance(payload, SensorBatch):
-        if payload.category != "environment" or not payload.events:
-            return []
-        return [EmitKnowledge(_batch_record(agent, message, tick))]
-    raise UnhandledMessage(f"AgentImpact has no rule for {payload_kind(payload)}")
+def _impact_batch(agent: AgentState, message: Message, tick: int) -> list[Effect]:
+    batch = message.payload
+    if batch.category != "environment" or not batch.events:
+        return []
+    return [EmitKnowledge(_batch_record(agent, message, tick))]
 
 
-def _handle_knowledge(agent: AgentState, message: Message, tick: int) -> list[Effect]:
-    payload = message.payload
-    if isinstance(payload, KnowledgeRecord):
-        return [EmitKnowledge(payload)]
-    raise UnhandledMessage(f"AgentKnowledge has no rule for {payload_kind(payload)}")
+def _keep_record(agent: AgentState, message: Message, tick: int) -> list[Effect]:
+    return [EmitKnowledge(message.payload)]
 
 
-_HANDLERS = {
-    AgentRole.PRODUCT: _handle_product,
-    AgentRole.SERVICE: _handle_service,
-    AgentRole.CUSTOMER: _handle_customer,
-    AgentRole.IMPACT: _handle_impact,
-    AgentRole.KNOWLEDGE: _handle_knowledge,
+# The rule table: each (role, payload type) pair a role has a rule for.
+_RULES = {
+    (AgentRole.PRODUCT, SensorBatch): _product_batch,
+    (AgentRole.PRODUCT, ServiceOrder): _acknowledge,
+    (AgentRole.SERVICE, FaultReported): _service_fault,
+    (AgentRole.CUSTOMER, CustomerFeedback): _customer_feedback,
+    (AgentRole.IMPACT, SensorBatch): _impact_batch,
+    (AgentRole.KNOWLEDGE, KnowledgeRecord): _keep_record,
 }
 
 
 def handle(agent: AgentState, message: Message, tick: int) -> list[Effect]:
-    """Dispatch one message delivered at tick to the agent's role rules.
+    """Apply the rule for the agent's role and the type of the payload
+    delivered at tick.
 
     Pure: returns the effects to apply. Raises UnhandledMessage when the
-    role has no rule for the payload kind; the runtime logs that and
-    leaves the agent untouched.
+    table has no rule for the pair; the runtime logs that and leaves the
+    agent untouched.
     """
-    return _HANDLERS[agent.role](agent, message, tick)
+    payload = message.payload
+    rule = _RULES.get((agent.role, type(payload)))
+    if rule is None:
+        raise UnhandledMessage(f"{agent.role.value} has no rule for {payload_kind(payload)}")
+    return rule(agent, message, tick)
 
 
 def plan_migration(agent: AgentState) -> str:

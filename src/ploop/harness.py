@@ -12,28 +12,33 @@ the next generation from accumulated knowledge; the paired baseline
 disables that rule and starts design at the scheduled retirement instead,
 so comparing the two isolates the feedback loop as the only difference.
 
-Loading pays per declared object only for what it checks. The loops over
-nodes, products, agents, latency pairs, partitions and stimuli test each
-field inline, look a role, node kind, capability, phase or intelligence
-location up by value, and build a refusal's message only when they
-refuse; a list of entries that passes is checked in two C passes over
-its items and their keys. Agents and stimuli are NamedTuples, the
-cheapest immutable record, and saving writes them without the deep copy
-that ``asdict`` makes. On the idle workload (Python 3.11, 2-core
-x86-64 VM, best of 60 loads), a declared agent costs 2.0 us to decode
-and load, and a sensor reading 1.05 us. Building into the World (best of
-150 builds, less a build without the agents or the readings) costs an
-agent 1.7 us and a reading, with its batch and the message that carries
-it, 1.2 us.
+Loading pays per declared object only for what it checks where objects
+come by the hundred: at seed 1, idle declares 1,004 agents, 277 stimuli
+and 1,040 readings, and roaming 160 partitions. The loops over nodes,
+agents, stimuli with their readings, and partitions test each field
+inline, look a node kind or role up by value, and build a refusal's
+message only when they refuse; a list of entries that passes is checked
+in two C passes over its items and their keys. Every other field's type,
+in a product (fleet declares 10) and its components, a latency pair,
+``params`` or ``eol_policy``, is tested by one ``_field`` or ``_member``
+call, which states its rule once; a node reference is tested inline
+everywhere. Agents and stimuli are NamedTuples, the cheapest
+immutable record, and saving writes them without the deep copy that
+``asdict`` makes. On the idle workload (Python 3.11, 2-core x86-64 VM,
+best of 60 loads), a declared agent costs 2.0 us to decode and load, and
+a sensor reading 1.05 us. Building into the World (best of 150 builds,
+less a build without the agents or the readings) costs an agent 1.7 us
+and a reading, with its batch and the message that carries it, 1.2 us.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import cache
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, NoReturn
+from typing import Any, Iterable, NamedTuple
 
 from .identity import (
     IntelligenceChannel,
@@ -44,7 +49,7 @@ from .identity import (
     SensorEvent,
     mint_product_id,
 )
-from .knowledge import TACIT_CATEGORIES, write_lines
+from .knowledge import TACIT_CATEGORIES, KnowledgeRecord, write_lines
 from .lifecycle import ComponentCondition, EOLPolicy, LifecycleEvent, LifecyclePhase
 from .messages import (
     KEY_CUSTOMER_FEEDBACK,
@@ -186,21 +191,15 @@ def _require(cond: bool, message: str, *args: Any) -> None:
         raise ScenarioValidationError(message.format(*args))
 
 
-def _enum_value(enum_cls: Any, raw: Any, what: str) -> Any:
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        choices = ", ".join(member.value for member in enum_cls)
-        raise ScenarioValidationError(
-            f"{what}: {raw!r} is not one of {choices}"
-        ) from None
-
-
-def _member(members: dict[str, Any], enum_cls: Any, raw: Any, what: str, *args: Any) -> Any:
-    """The member whose value raw is, looked up in members; a miss calls
-    _enum_value, which refuses it, with what formatted by args only then."""
+def _member(members: dict[str, Any], raw: Any, what: str, *args: Any) -> Any:
+    """The member whose value raw is, looked up in members, an Enum's
+    members by value in declaration order. A miss is refused, listing those
+    values, with what formatted by args only then."""
     member = members.get(raw) if type(raw) is str else None
-    return member if member is not None else _enum_value(enum_cls, raw, what.format(*args))
+    if member is None:
+        raise ScenarioValidationError(
+            f"{what.format(*args)}: {raw!r} is not one of {', '.join(members)}")
+    return member
 
 
 # The exact types each JSON kind decodes to. Matching the type exactly
@@ -258,7 +257,7 @@ def _entries(raw: dict[str, Any], key: str, what: str = "",
     for i, entry in enumerate(entries):
         if type(entry) is not dict:
             raise ScenarioValidationError(f"{what}{key}[{i}] must be an object")
-        if known is not None and not known.issuperset(entry):
+        if known is not None:
             _unknown_keys(entry, known, f"{what}{key}[{i}]")
     return entries
 
@@ -266,9 +265,8 @@ def _entries(raw: dict[str, Any], key: str, what: str = "",
 def _counts(raw: dict[str, Any], key: str) -> dict[str, int]:
     """The name -> count object under raw[key]."""
     counts = _field(raw, key, "an object")
-    for name, value in counts.items():
-        if type(value) is not int:
-            _field(counts, name, "an integer", what=f"{key}.")
+    for name in counts:
+        _field(counts, name, "an integer", what=f"{key}.")
     return dict(counts)
 
 
@@ -299,13 +297,13 @@ _POLICY_KEYS = _keys(EOLPolicy)
 # The JSON kind of each annotated field type that _build reads.
 _TYPE_KINDS = {"int": "an integer", "float": "a number", "bool": "a boolean", "str": "a string"}
 
-# The fields _build reads for each class: name, JSON kind and whether the
-# field is required, having no default. A field of another type is given.
-_READS = {
-    cls: tuple((f.name, _TYPE_KINDS[f.type], f.default is MISSING)
-               for f in fields(cls) if f.type in _TYPE_KINDS)
-    for cls in (ComponentCondition, EOLPolicy, SimParams)
-}
+
+@cache
+def _reads(cls: Any) -> tuple[tuple[str, str, bool], ...]:
+    """The fields _build reads for cls: name, JSON kind and whether the field
+    is required, having no default. A field of another type is given."""
+    return tuple((f.name, _TYPE_KINDS[f.type], f.default is MISSING)
+                 for f in fields(cls) if f.type in _TYPE_KINDS)
 
 
 def _build(cls: Any, raw: dict[str, Any], what: str = "", **given: Any) -> Any:
@@ -313,26 +311,28 @@ def _build(cls: Any, raw: dict[str, Any], what: str = "", **given: Any) -> Any:
     field with a default is read only when present, so an absent one takes
     the dataclass's own default."""
     return cls(**given, **{name: _field(raw, name, kind, what=what)
-                           for name, kind, required in _READS[cls] if required or name in raw})
+                           for name, kind, required in _reads(cls) if required or name in raw})
 
 
-def _unknown_keys(raw: dict[str, Any], known: frozenset[str], what: str) -> NoReturn:
+def _unknown_keys(raw: dict[str, Any], known: frozenset[str], what: str) -> None:
     """Refuse the keys of raw outside known, naming them and the object.
-    Callers test ``known.issuperset(raw)`` first, so the success path makes
-    no call and builds no message."""
-    unknown = ", ".join(map(repr, sorted(raw.keys() - known)))
-    raise ScenarioValidationError(f"{what}: unknown key {unknown}")
+    The per-stimulus loop tests ``known.issuperset(raw)`` itself first, so
+    its success path makes no call; a cold object is checked by this call
+    alone."""
+    if not known.issuperset(raw):
+        unknown = ", ".join(map(repr, sorted(raw.keys() - known)))
+        raise ScenarioValidationError(f"{what}: unknown key {unknown}")
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     """The scenario a document declares, or ScenarioValidationError naming
-    the first rule it breaks. The loops over declared objects inline their
-    checks and build a refusal's message only when they refuse."""
+    the first rule it breaks. The loops over nodes, agents, stimuli and
+    partitions inline their checks and build a refusal's message only when
+    they refuse."""
     _require(isinstance(doc, dict), "scenario document must be a JSON object")
     _require(doc.get("format") == SCENARIO_FORMAT,
              "unsupported scenario format {!r}, expected {}", doc.get("format"), SCENARIO_FORMAT)
-    if not _SCENARIO_KEYS.issuperset(doc):
-        _unknown_keys(doc, _SCENARIO_KEYS, "scenario")
+    _unknown_keys(doc, _SCENARIO_KEYS, "scenario")
     name = doc.get("name")
     _require(isinstance(name, str) and bool(name), "scenario name must be a non-empty string")
     # The run files are named after it, inside the output directory.
@@ -352,68 +352,47 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         if node_id in node_ids:
             raise ScenarioValidationError(f"duplicate node id {node_id!r}")
         node_ids.add(node_id)
-        nodes.append(NodeDecl(node_id, _member(_NODE_KINDS, NodeKind, raw.get("kind"),
-                                               "node {}", node_id)))
+        nodes.append(NodeDecl(node_id, _member(_NODE_KINDS, raw.get("kind"), "node {}", node_id)))
     _require(bool(nodes), "at least one node is required")
 
     products: list[ProductDecl] = []
     product_ids: set[str] = set()
     successors: dict[str, str] = {}   # next generation's id -> its parent product
     for raw in _entries(doc, "products", known=_PRODUCT_KEYS):
-        get = raw.get
-        serial = get("serial")
-        if type(serial) is not str:
-            _field(raw, "serial", "a string", what="product ")
-        uri = get("uri")
-        if type(uri) is not str:
-            _field(raw, "uri", "a string", what=f"product {serial!r}: ")
-        values = get("capabilities", _ALL_CAPABILITY_VALUES)
-        if type(values) is not list:
-            _field(raw, "capabilities", "a list", what=f"product {serial!r}: ")
-        capabilities = tuple([_member(_CAPABILITIES, PEIDCapability, c,
-                                      "product {!r} capability", serial) for c in values])
+        serial = _field(raw, "serial", "a string", what="product ")
+        what = f"product {serial!r}: "
+        uri = _field(raw, "uri", "a string", what=what)
+        values = _field(raw, "capabilities", "a list", _ALL_CAPABILITY_VALUES, what)
+        capabilities = tuple([_member(_CAPABILITIES, c, "product {!r} capability", serial)
+                              for c in values])
         try:
             product_id = mint_product_id(serial, uri)
             PEID(product_id, capabilities)   # the device's own rules
         except ValueError as exc:
-            raise ScenarioValidationError(f"product {serial!r}: {exc}") from None
+            raise ScenarioValidationError(f"{what}{exc}") from None
         rendered = product_id.render()
-        node = get("node")
+        node = raw.get("node")
         if not (isinstance(node, str) and node in node_ids):
             raise ScenarioValidationError(f"product {serial!r} references unknown node {node!r}")
-        generation = get("generation", 1)
-        if type(generation) is not int:
-            _field(raw, "generation", "an integer", what=f"product {serial!r}: ")
-        if generation < 1:
-            raise ScenarioValidationError(
-                f"product {serial!r}: generation must be an integer >= 1")
+        generation = _field(raw, "generation", "an integer", 1, what)
+        _require(generation >= 1, "product {!r}: generation must be an integer >= 1", serial)
         components = []
         for c in _entries(raw, "components", "product {!r}: ", _COMPONENT_KEYS, serial):
-            component, condition = c.get("component"), c.get("condition")
-            hazardous = c.get("hazardous", False)
-            if not (type(component) is str and type(condition) in _NUMBER
-                    and type(hazardous) is bool):
-                _build(ComponentCondition, c, f"product {serial!r}: component ")
             try:
-                components.append(ComponentCondition(component, condition, hazardous))
+                components.append(_build(ComponentCondition, c, f"{what}component "))
             except ValueError as exc:
                 raise ScenarioValidationError(f"product {serial!r} component: {exc}") from None
-        meta_raw = get("intelligence_location")
         location_meta = None
-        if meta_raw is not None:
-            if type(meta_raw) is not dict:
-                _field(raw, "intelligence_location", "an object", what=f"product {serial!r}: ")
-            if not _LOCATION_KEYS.issuperset(meta_raw):
-                _unknown_keys(meta_raw, _LOCATION_KEYS, f"product {serial!r} intelligence_location")
+        if raw.get("intelligence_location") is not None:
+            meta_raw = _field(raw, "intelligence_location", "an object", what=what)
+            _unknown_keys(meta_raw, _LOCATION_KEYS, f"product {serial!r} intelligence_location")
             location_meta = IntelligenceLocation(
-                _member(_CHANNELS, IntelligenceChannel, meta_raw.get("channel"),
+                _member(_CHANNELS, meta_raw.get("channel"),
                         "product {!r} intelligence channel", serial),
-                _member(_GRANULARITIES, IntelligenceGranularity, meta_raw.get("granularity"),
+                _member(_GRANULARITIES, meta_raw.get("granularity"),
                         "product {!r} intelligence granularity", serial))
-        phase = _member(_PHASES, LifecyclePhase, get("phase"), "product {!r} phase", serial)
-        memory = get("memory", {})
-        if type(memory) is not dict:
-            _field(raw, "memory", "an object", what=f"product {serial!r}: ")
+        phase = _member(_PHASES, raw.get("phase"), "product {!r} phase", serial)
+        memory = _field(raw, "memory", "an object", {}, what)
         if rendered in product_ids:
             raise ScenarioValidationError(f"duplicate product {rendered!r}")
         product_ids.add(rendered)
@@ -439,7 +418,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         value = get("role")
         role = _ROLES.get(value) if type(value) is str else None
         if role is None:
-            role = _enum_value(AgentRole, value, f"agent {agent_id} role")
+            role = _member(_ROLES, value, "agent {} role", agent_id)
         home = get("home")
         if not (isinstance(home, str) and home in node_ids):
             raise ScenarioValidationError(f"agent {agent_id!r} references unknown node {home!r}")
@@ -485,8 +464,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         raise ScenarioValidationError(f"routing: {exc}") from None
 
     latency_raw = _field(doc, "latency", "an object", {})
-    if not _LATENCY_KEYS.issuperset(latency_raw):
-        _unknown_keys(latency_raw, _LATENCY_KEYS, "latency")
+    _unknown_keys(latency_raw, _LATENCY_KEYS, "latency")
     pairs: dict[tuple[str, str], int] = {}
     for raw in _entries(latency_raw, "pairs", "latency ", _PAIR_KEYS):
         a, b = raw.get("a"), raw.get("b")
@@ -495,11 +473,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         if a == b:
             raise ScenarioValidationError(
                 f"latency pair ({a!r}, {b!r}) must name two distinct nodes")
-        ticks_ = raw.get("ticks")
-        if type(ticks_) is not int:
-            _field(raw, "ticks", "an integer", what="latency ")
-        if ticks_ < 1:
-            raise ScenarioValidationError("latency ticks must be an integer >= 1")
+        ticks_ = _field(raw, "ticks", "an integer", what="latency ")
+        _require(ticks_ >= 1, "latency ticks must be an integer >= 1")
         key = _pair(a, b)
         if key in pairs:
             raise ScenarioValidationError(f"duplicate latency pair ({a!r}, {b!r})")
@@ -572,12 +547,10 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         stimuli.append(stim)
 
     params_raw = _field(doc, "params", "an object", {})
-    if not _PARAMS_KEYS.issuperset(params_raw):
-        _unknown_keys(params_raw, _PARAMS_KEYS, "params")
+    _unknown_keys(params_raw, _PARAMS_KEYS, "params")
     try:
         policy_raw = _field(params_raw, "eol_policy", "an object", {})
-        if not _POLICY_KEYS.issuperset(policy_raw):
-            _unknown_keys(policy_raw, _POLICY_KEYS, "eol_policy")
+        _unknown_keys(policy_raw, _POLICY_KEYS, "eol_policy")
         params = _build(SimParams, params_raw, eol_policy=_build(EOLPolicy, policy_raw))
     except Exception as exc:
         raise ScenarioValidationError(f"params: {exc}") from None
@@ -658,7 +631,7 @@ def load_scenario(path: Path | str) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: Path | str) -> None:
-    write_lines(path, (json.dumps(scenario_to_dict(scenario), indent=2),))
+    write_lines((path, (json.dumps(scenario_to_dict(scenario), indent=2),)))
 
 
 # -- world construction and execution ----------------------------------------
@@ -750,19 +723,12 @@ class RunReport:
     def from_dict(cls, raw: Any) -> "RunReport":
         """A report read back from JSON; each field must have its JSON type."""
         _require(type(raw) is dict, "a report must be an object")
-        if not _REPORT_KEYS.issuperset(raw):
-            _unknown_keys(raw, _REPORT_KEYS, "report")
+        _unknown_keys(raw, _REPORT_KEYS, "report")
         launch_times = []
         for i, lt in enumerate(_field(raw, "launch_times", "a list")):
-            what = f"launch_times[{i}]."
             _require(type(lt) is dict, "launch_times[{}] must be an object", i)
-            if not _LAUNCH_KEYS.issuperset(lt):
-                _unknown_keys(lt, _LAUNCH_KEYS, f"launch_times[{i}]")
-            launch_times.append(LaunchTime(
-                _field(lt, "family", "a string", what=what),
-                _field(lt, "generation", "an integer", what=what),
-                _field(lt, "tick", "an integer", what=what),
-            ))
+            _unknown_keys(lt, _LAUNCH_KEYS, f"launch_times[{i}]")
+            launch_times.append(_build(LaunchTime, lt, f"launch_times[{i}]."))
         return cls(
             scenario=_field(raw, "scenario", "a string"),
             seed=_field(raw, "seed", "an integer"),
@@ -950,11 +916,12 @@ def write_run_files(
         "report_text": out / f"{name}.report.txt",
         "repository": out / f"{name}.repository.jsonl",
     }
-    write_lines(paths["events"], map(LoggedEvent.to_json_line, world.events))
     # Each report text ends in the newline that write_lines adds.
-    write_lines(paths["report_json"], (report.to_json()[:-1],))
-    write_lines(paths["report_text"], (report.to_text()[:-1],))
-    world.repository.save(paths["repository"])
+    write_lines((paths["events"], map(LoggedEvent.to_json_line, world.events)),
+                (paths["report_json"], (report.to_json()[:-1],)),
+                (paths["report_text"], (report.to_text()[:-1],)),
+                (paths["repository"],
+                 map(KnowledgeRecord.to_json_line, world.repository.records)))
     return paths
 
 
@@ -980,14 +947,9 @@ class ComparisonSummary:
 def compare(report_feedback: RunReport, report_baseline: RunReport) -> ComparisonSummary:
     """Quantify the launch-phase gain of the feedback run over the
     baseline; positive delta means the feedback run launched earlier."""
-    if not report_feedback.launch_times:
-        raise IncomparableRuns(
-            f"report {report_feedback.scenario!r} has no completed launch"
-        )
-    if not report_baseline.launch_times:
-        raise IncomparableRuns(
-            f"report {report_baseline.scenario!r} has no completed launch"
-        )
+    for report in (report_feedback, report_baseline):
+        if not report.launch_times:
+            raise IncomparableRuns(f"report {report.scenario!r} has no completed launch")
     feedback_tick = min(lt.tick for lt in report_feedback.launch_times)
     baseline_tick = min(lt.tick for lt in report_baseline.launch_times)
     delta = baseline_tick - feedback_tick

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -176,7 +177,7 @@ class KnowledgeRepository:
 
     def save(self, path: Path | str) -> None:
         """Persist as JSON lines, one record per line, insertion order."""
-        write_lines(path, map(KnowledgeRecord.to_json_line, self._records))
+        write_lines((path, map(KnowledgeRecord.to_json_line, self._records)))
 
 
 # Lines joined into one write: a whole log joined at once would be held in
@@ -184,26 +185,31 @@ class KnowledgeRepository:
 CHUNK_LINES = 512
 
 
-def write_lines(path: Path | str, lines: Iterable[str]) -> None:
-    """Write each line and a newline to a UTF-8 file, CHUNK_LINES lines per
-    write; every file ploop writes goes through here. An existing file is
-    rewritten in place, then cut to the bytes written in ``finally``, so a
-    failed write leaves no stale tail. Truncating on open cost more: 150 us
-    against 34 us to rewrite a 180 KB file (ext4 mounted with discard,
-    2-core x86-64 VM). The file is not unlinked first, so a symlinked output
-    writes its target and a hard-linked one keeps its inode. It is cut only
-    when longer than the bytes written, so /dev/null or a FIFO still works."""
-    lines = iter(lines)
-    written = 0
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
-        try:
-            while chunk := list(islice(lines, CHUNK_LINES)):
-                chunk.append("")
-                written += out.write("\n".join(chunk).encode())
-        finally:
-            out.flush()
-            if os.fstat(out.fileno()).st_size > written:
-                out.truncate(written)
+def write_lines(*outputs: tuple[Path | str, Iterable[str]]) -> None:
+    """Write each output's lines, each with a newline, to its UTF-8 file,
+    CHUNK_LINES lines per write; every file ploop writes goes through here.
+    Every file is opened before any is written, so an output that cannot
+    be opened leaves the others' bytes as they were (one it had to create
+    stays empty). An existing file is rewritten in place, then cut to the
+    bytes written in ``finally``, so a failed write leaves no stale tail.
+    Truncating on open cost more: 150 us against 34 us to rewrite a 180 KB
+    file (ext4 mounted with discard, 2-core x86-64 VM). The file is not
+    unlinked first, so a symlinked output writes its target and a
+    hard-linked one keeps its inode. It is cut only when longer than the
+    bytes written, so /dev/null or a FIFO still works."""
+    with ExitStack() as opened:
+        files = [opened.enter_context(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb"))
+                 for path, _ in outputs]
+        for out, (_, lines) in zip(files, outputs):
+            lines, written = iter(lines), 0
+            try:
+                while chunk := list(islice(lines, CHUNK_LINES)):
+                    chunk.append("")
+                    written += out.write("\n".join(chunk).encode())
+            finally:
+                out.flush()
+                if os.fstat(out.fileno()).st_size > written:
+                    out.truncate(written)
 
 
 def tacit_record(

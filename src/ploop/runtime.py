@@ -292,15 +292,17 @@ class LoggedEvent(NamedTuple):
 
 def _envelope_error(raw: Any) -> str:
     """Why a decoded line is not an event: it is not an object, or it names
-    the first field, in envelope order, that lacks its JSON type."""
+    the first field, in envelope order, that is missing or lacks its JSON
+    type, naming a null as null."""
     if type(raw) is not dict:
         return "a log line must be a JSON object"
-    if type(raw.get("tick")) is not int:
-        return f"tick must be an integer, got {type(raw.get('tick')).__name__}"
-    for key in ("event_kind", "node", "agent", "msg_id"):
-        if type(raw.get(key)) is not str:
-            return f"{key} must be a string, got {type(raw.get(key)).__name__}"
-    return f"detail must be a string, got {type(raw.get('detail')).__name__}"
+    for key in ("tick", "event_kind", "node", "agent", "msg_id", "detail"):
+        if key not in raw:
+            return f"{key} is missing"
+        if type(raw[key]) is not (int if key == "tick" else str):
+            break
+    got = "null" if raw[key] is None else type(raw[key]).__name__
+    return f"{key} must be {'an integer' if key == 'tick' else 'a string'}, got {got}"
 
 
 if c_make_encoder is None:
@@ -1001,18 +1003,14 @@ def _process_delivery(world: World, message: Message) -> None:
 def _apply_effect(world: World, agent: AgentState, effect: Effect) -> None:
     """Apply a SendMessage, or else the other effect, an EmitKnowledge."""
     if isinstance(effect, SendMessage):
-        world.send(
-            effect.routing_key, effect.payload, sender=agent.agent_id,
-            origin_node=agent.location,
-        )
+        key, payload = effect.routing_key, effect.payload
     elif agent.role is AgentRole.KNOWLEDGE:
         _insert_record(world, agent, effect.record)
+        return
     else:
         # Submissions travel to the repository keeper as messages.
-        world.send(
-            KEY_KNOWLEDGE_RECORD, effect.record, sender=agent.agent_id,
-            origin_node=agent.location,
-        )
+        key, payload = KEY_KNOWLEDGE_RECORD, effect.record
+    world.send(key, payload, sender=agent.agent_id, origin_node=agent.location)
 
 
 def _insert_record(world: World, agent: AgentState, record: KnowledgeRecord) -> None:

@@ -17,6 +17,7 @@ from ploop.agents import (
 from ploop.identity import SensorEvent, mint_product_id
 from ploop.knowledge import (
     Activity,
+    DesignTrigger,
     KnowledgeMode,
     KnowledgeRecord,
     KnowledgeSource,
@@ -251,6 +252,57 @@ class TestPurityAndClosure:
         (effect,) = handle(state, msg(batch(n=2), "m1"), TICK)
         assert isinstance(effect, EmitKnowledge)
         assert effect.record.product_id == state.product_id == PID
+
+
+# One payload of each type a message carries, by type name.
+SAMPLES = {
+    "SensorBatch": batch(category="environment", n=2),
+    "CustomerFeedback": CustomerFeedback(PID, 1, "text"),
+    "FaultReported": FaultReported(PID, 1, "detail"),
+    "ServiceOrder": ServiceOrder(PID, 1, "detail"),
+    "KnowledgeRecord": explicit_record("kr-x", PID, 1, "p", 1),
+    "DesignTrigger": DesignTrigger(PID.render(), 1, 2),
+}
+
+
+def record(activity, mode, source, payload):
+    """The record agent a-01 builds from message m1 at TICK."""
+    return KnowledgeRecord("kr-a-01-m1", PID, 1, activity, mode, source, payload, TICK)
+
+
+def tacit(payload):
+    return record(Activity.INTELLIGENT_PRODUCT, KnowledgeMode.TACIT,
+                  KnowledgeSource.SELF_SOURCE, payload)
+
+
+# The effects of each (role, payload type) pair a role has a rule for.
+RULES = {
+    (AgentRole.PRODUCT, "SensorBatch"): [EmitKnowledge(tacit("environment steady"))],
+    (AgentRole.PRODUCT, "ServiceOrder"): [],
+    (AgentRole.SERVICE, "FaultReported"): [
+        SendMessage(KEY_SERVICE_ORDER, ServiceOrder(PID, 1, "detail")),
+        EmitKnowledge(tacit("service detail"))],
+    (AgentRole.CUSTOMER, "CustomerFeedback"): [EmitKnowledge(record(
+        Activity.CUSTOMER, KnowledgeMode.EXPLICIT, KnowledgeSource.COLLECTIVE, "text"))],
+    (AgentRole.IMPACT, "SensorBatch"): [EmitKnowledge(tacit("environment steady"))],
+    (AgentRole.KNOWLEDGE, "KnowledgeRecord"): [EmitKnowledge(SAMPLES["KnowledgeRecord"])],
+}
+
+
+@pytest.mark.parametrize("kind", list(SAMPLES))
+@pytest.mark.parametrize("role", list(AgentRole))
+def test_handle_matrix(role, kind):
+    """Each of the six rules gives its effects, and every other pair of
+    role and payload type is refused, naming both."""
+    payload = SAMPLES[kind]
+    assert type(payload).__name__ == kind
+    agent = make_agent(role)
+    if (role, kind) in RULES:
+        assert handle(agent, msg(payload), TICK) == RULES[role, kind]
+    else:
+        with pytest.raises(UnhandledMessage) as refused:
+            handle(agent, msg(payload), TICK)
+        assert str(refused.value) == f"{role.value} has no rule for {kind}"
 
 
 class TestPlanMigration:

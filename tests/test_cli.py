@@ -380,6 +380,12 @@ BAD_INPUTS = {
     "report: a line is not JSON": ("report", STARTED + "{not json\n", ":2: not a log event"),
     "report: a line has no event_kind": ("report", '{"tick":0}\n', ":1: not a log event"),
     "report: a line is a list": ("report", STARTED + "[]\n", ":2: not a log event"),
+    "report: a line lacks node": (
+        "report", STARTED + '{"tick":1,"event_kind":"x","agent":"","msg_id":"","detail":""}\n',
+        ":2: not a log event (node is missing)\n"),
+    "report: a line has a null node": (
+        "report", STARTED + EVENT.format(1, "x", '""').replace('"node":""', '"node":null'),
+        ":2: not a log event (node must be a string, got null)\n"),
     "report: a record detail lacks mode": (
         "report", STARTED + EVENT.format(3, "knowledge_inserted", '"{}"'), ":2: not a run log"),
     "report: a line nests too deeply": ("report", STARTED + DEEP + "\n",

@@ -288,9 +288,9 @@ class TestRunFiles:
     """``ploop run`` rewrites an existing output in place and cuts it to the
     new length, following a link to the file it names."""
 
-    def run_closed_loop(self, fixtures_dir, out):
+    def run_closed_loop(self, fixtures_dir, out, *seed):
         return main(["run", "--scenario", str(fixtures_dir / "closed_loop.scn"),
-                     "--out", str(out)])
+                     "--out", str(out), *seed])
 
     def fresh(self, fixtures_dir, tmp_path):
         """Each run file's bytes, written into a new directory."""
@@ -342,7 +342,7 @@ class TestRunFiles:
             raise RuntimeError("stop")
 
         with pytest.raises(RuntimeError):
-            write_lines(path, lines())
+            write_lines((path, lines()))
         assert path.read_text() == "".join(f"{i}\n" for i in range(CHUNK_LINES))
 
     def test_output_symlinked_to_dev_null_is_written(self, fixtures_dir, tmp_path, capsys):
@@ -358,6 +358,25 @@ class TestRunFiles:
         path.mkdir()
         assert self.run_closed_loop(fixtures_dir, tmp_path) == 1
         assert capsys.readouterr().err == f"error: {path}: Is a directory\n"
+
+    def test_an_output_that_cannot_be_opened_leaves_the_others_as_they_were(
+            self, fixtures_dir, tmp_path, capsys):
+        # Every output is opened before any is written: a seed-2 run that
+        # cannot open its text report leaves the seed-1 log, JSON report and
+        # repository beside it, never a mix of the two runs.
+        assert self.run_closed_loop(fixtures_dir, tmp_path / "seed2", "--seed", "2") == 0
+        assert self.run_closed_loop(fixtures_dir, tmp_path, "--seed", "1") == 0
+        kept = [name for name in RUN_FILES if name != "report.txt"]
+        before = {name: (tmp_path / f"closed_loop.{name}").read_bytes() for name in kept}
+        seed2 = (tmp_path / "seed2" / "closed_loop.events.jsonl").read_bytes()
+        assert before["events.jsonl"] != seed2
+        path = tmp_path / "closed_loop.report.txt"
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert self.run_closed_loop(fixtures_dir, tmp_path, "--seed", "2") == 1
+        assert capsys.readouterr().err == f"error: {path}: Is a directory\n"
+        assert {name: (tmp_path / f"closed_loop.{name}").read_bytes() for name in kept} == before
 
 
 class TestCompare:

@@ -49,6 +49,13 @@ def _reference_loads(text):
     return value if end == len(text) else json.loads(text)
 
 
+def _envelope_refusal(raw, key, kind):
+    if key not in raw:
+        return f"{key} is missing"
+    got = "null" if raw[key] is None else type(raw[key]).__name__
+    return f"{key} must be {kind}, got {got}"
+
+
 def reference_from_json_line(line):
     try:
         raw = _reference_loads(line)
@@ -57,10 +64,10 @@ def reference_from_json_line(line):
     if type(raw) is not dict:
         raise ValueError("a log line must be a JSON object")
     if type(raw.get("tick")) is not int:
-        raise ValueError(f"tick must be an integer, got {type(raw.get('tick')).__name__}")
+        raise ValueError(_envelope_refusal(raw, "tick", "an integer"))
     for key in ("event_kind", "node", "agent", "msg_id", "detail"):
         if type(raw.get(key)) is not str:
-            raise ValueError(f"{key} must be a string, got {type(raw.get(key)).__name__}")
+            raise ValueError(_envelope_refusal(raw, key, "a string"))
     try:
         detail = _reference_loads(raw["detail"]) if raw["detail"] else {}
     except RecursionError:
