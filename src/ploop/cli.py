@@ -64,16 +64,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _log_events(path: str, at: list[int]) -> Iterator[LoggedEvent]:
     """Each non-blank line of a saved log, read and decoded one at a time;
     ``at[0]`` is set to the number of each line before it is yielded, so a
-    reader's refusal can name it. A line goes to the decoder as it is, less
-    its ``"\n"``; only a line that fails to decode is tested for blankness,
-    and skipped if blank. An unreadable or non-UTF-8 file is a parse error,
-    and a non-UTF-8 one names the line and the offset of its first bad byte."""
+    reader's refusal can name it. A line goes to the decoder as it is read,
+    ``"\n"`` and all, with one memo of detail texts for the whole read, so
+    a repeated text is decoded once (the events that hold it share its
+    dict); only a line that fails to decode is tested for blankness, and
+    skipped if blank. An unreadable or non-UTF-8 file is a parse error, and
+    a non-UTF-8 one names the line and the offset of its first bad byte."""
     try:
         with open(path, encoding="utf-8") as lines:
             decode = LoggedEvent.from_json_line
+            details: dict[str, dict] = {}
             for number, line in enumerate(lines, 1):
                 try:
-                    event = decode(line[:-1] if line[-1] == "\n" else line)
+                    event = decode(line, details)
                 except ValueError as exc:
                     if line.strip():
                         raise ScenarioParseError(

@@ -789,6 +789,10 @@ _STARTED, _INSERTED, _LAUNCHED, _EOL = (
     {key: _TYPE_KINDS[type_.__name__] for key, type_ in EVENTS[kind][1].items()}
     for kind in (EVT_RUN_STARTED, EVT_KNOWLEDGE_INSERTED, EVT_GENERATION_LAUNCHED,
                  EVT_EOL_DECISION))
+# The kinds compute_report acts on after the first event; it skips the rest.
+_REPORTED = frozenset((EVT_KNOWLEDGE_INSERTED, EVT_DESIGN_TRIGGER, EVT_GENERATION_LAUNCHED,
+                       EVT_EOL_DECISION, EVT_MESSAGE_DROPPED, EVT_MIGRATION_COMPLETED,
+                       EVT_RUN_STARTED))
 
 
 def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
@@ -799,7 +803,8 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     length. Each detail field read must be present, of the type that
     ``runtime.EVENTS`` declares for it. Each rule is
     checked as its event is read, the last after the last one, so a reader
-    that counts the lines it yields can name the line refused."""
+    that counts the lines it yields can name the line refused. An event of
+    a kind not in ``_REPORTED`` costs one set lookup; no detail is mutated."""
     first_record_tick: int | None = None
     first_trigger_tick: int | None = None
     launch_times: list[LaunchTime] = []
@@ -823,8 +828,14 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
     # Each count a record adds to, with the detail key it reads and its kind.
     counted = ((by_mode, "mode", _INSERTED["mode"]), (by_source, "source", _INSERTED["source"]),
                (by_activity, "activity", _INSERTED["activity"]))
+    reported = _REPORTED
     for tick, kind, _, _, _, detail in events:
-        if kind == EVT_KNOWLEDGE_INSERTED:
+        if kind not in reported:
+            continue
+        # migration_completed first: a mobile agent logs one per hop.
+        if kind == EVT_MIGRATION_COMPLETED:
+            migrations += 1
+        elif kind == EVT_KNOWLEDGE_INSERTED:
             if first_record_tick is None:
                 first_record_tick = tick
             for counts, key, json_kind in counted:
@@ -845,8 +856,6 @@ def compute_report(events: Iterable[LoggedEvent]) -> RunReport:
             eol_decisions[decision] = eol_decisions.get(decision, 0) + 1
         elif kind == EVT_MESSAGE_DROPPED:
             dropped += 1
-        elif kind == EVT_MIGRATION_COMPLETED:
-            migrations += 1
         elif kind == EVT_RUN_STARTED:
             raise ScenarioValidationError(
                 f"a second run_started event, at tick {tick}: a log holds one run")

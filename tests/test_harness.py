@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ploop import harness
 from ploop.cli import main
 from ploop.harness import (
     IncomparableRuns,
@@ -21,7 +22,7 @@ from ploop.harness import (
     scenario_to_dict,
 )
 from ploop.knowledge import CHUNK_LINES, write_lines
-from ploop.runtime import LoggedEvent, SimParams
+from ploop.runtime import EVENTS, LoggedEvent, SimParams
 
 ROOT = Path(__file__).resolve().parent.parent
 # The five fixtures and the generated scenarios pinned in test_golden.py.
@@ -279,6 +280,31 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"error: {log}:30: not a run log "
             "(the last event is 'message_sent', not run_finished)\n")
+
+    def test_the_report_skips_only_kinds_it_does_not_read(self, monkeypatch):
+        # One event of each declared kind, run_started first and
+        # run_finished last, each with every envelope field and detail key
+        # its kind declares: the report must be the one computed with no
+        # kind skipped, so a kind the report starts to read cannot be
+        # skipped unseen.
+        values = {str: "x", int: 1}
+        events = []
+        for n, (kind, (envelope, keys)) in enumerate(EVENTS.items()):
+            fields = {name.rstrip("?"): f"{name.rstrip('?')}-{n}" for name in envelope}
+            detail = {key.rstrip("?"): values[type_] for key, type_ in keys.items()}
+            events.append(LoggedEvent(n, kind, **fields, detail=detail))
+        events.sort(key=lambda event: (event.event_kind != "run_started",
+                                       event.event_kind == "run_finished"))
+        assert [event.event_kind for event in events[::len(events) - 1]] == [
+            "run_started", "run_finished"]
+        assert sorted(event.event_kind for event in events) == sorted(EVENTS)
+        report = compute_report(events)
+        monkeypatch.setattr(harness, "_REPORTED", frozenset(EVENTS))
+        assert compute_report(events) == report
+        assert (report.dropped_messages, report.migrations, len(report.launch_times),
+                sum(report.knowledge_by_mode.values()), sum(report.eol_decisions.values())
+                ) == (1, 1, 1, 1, 1)
+        assert report.loop_closure_latency is not None
 
 
 RUN_FILES = ("events.jsonl", "report.json", "report.txt", "repository.jsonl")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ploop.cli import main
+from ploop.cli import _log_events, main
 from ploop.harness import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -29,7 +29,7 @@ from ploop.harness import (
     not_utf8,
     run,
 )
-from ploop.runtime import EVT_RUN_FINISHED, EVT_RUN_STARTED, LoggedEvent
+from ploop.runtime import _DETAILS_KEPT, EVT_RUN_FINISHED, EVT_RUN_STARTED, LoggedEvent
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted([*ROOT.glob("fixtures/*.scn"), *ROOT.glob("tests/golden/*.scn")])
@@ -294,6 +294,91 @@ def test_report_of_mutated_logs_matches_the_reference(logs, tmp_path):
     assert codes == {0, 1}
 
 
+def test_a_line_cut_short_is_refused_in_the_reference_words(logs, tmp_path):
+    # A cut line that ends in its newline is worded as the line without it,
+    # and named by its number, wherever the cut falls.
+    rng = random.Random(20261020)
+    path = tmp_path / "log.events.jsonl"
+    for name, lines in sorted(logs.items()):
+        at = rng.randrange(len(lines))
+        for cut in sorted(rng.sample(range(len(lines[at])), 8)):
+            path.write_text("\n".join([*lines[:at], lines[at][:cut], *lines[at + 1:]]) + "\n",
+                            encoding="utf-8")
+            expected = reference_report(path)
+            assert ploop_report(path) == expected, (name, at, cut)
+
+
+# -- the detail memo and the newline ---------------------------------------------
+
+def _fields(event):
+    """An event's fields, its detail as repr, so key order counts too."""
+    return (*event[:5], repr(event.detail))
+
+
+def _outcome(line):
+    """What from_json_line makes of line: its fields, or its refusal."""
+    try:
+        return _fields(LoggedEvent.from_json_line(line))
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+def _read(path):
+    """The events ploop report reads from path, through its memo."""
+    return list(_log_events(str(path), [0]))
+
+
+def test_the_memo_yields_the_events_of_a_decode_without_it(logs, tmp_path):
+    path = tmp_path / "log.events.jsonl"
+    for name, lines in sorted(logs.items()):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert ([_fields(event) for event in _read(path)]
+                == [_fields(LoggedEvent.from_json_line(line)) for line in lines]), name
+
+
+def test_the_memo_fills_empties_and_fills_again(tmp_path):
+    # Texts 0..K-1 fill the memo and 0 repeats from it; K empties it, so 1
+    # is decoded again, and K repeats from it; 2..K-1 fill it again and 1
+    # repeats; 0 empties it, so K is decoded again. Then a seeded tail of
+    # 3K distinct texts and their repeats.
+    k = _DETAILS_KEPT
+    rng = random.Random(20261020)
+    order = [*range(k), 0, k, 1, k, *range(2, k), 1, 0, k,
+             *(rng.randrange(3 * k) for _ in range(20 * k))]
+    lines = [LoggedEvent(n, "message_sent", "n", "a", f"m{n}",
+                         {"key": f"k{text}", "kind": "SensorBatch"}).to_json_line()
+             for n, text in enumerate(order)]
+    path = tmp_path / "log.events.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    events = _read(path)
+    assert ([_fields(event) for event in events]
+            == [_fields(LoggedEvent.from_json_line(line)) for line in lines])
+    detail = [event.detail for event in events]
+    assert detail[k] is detail[0]
+    assert detail[k + 2] is not detail[1]
+    assert detail[k + 3] is detail[k + 1]
+    assert detail[2 * k + 2] is detail[k + 2]
+    assert detail[2 * k + 4] is not detail[k + 3]
+
+
+def test_a_line_decodes_alike_with_its_newline_or_without(logs):
+    for name, lines in sorted(logs.items()):
+        for line in lines:
+            assert _outcome(line + "\n") == _outcome(line), name
+
+
+def test_a_line_cut_anywhere_decodes_alike_with_its_newline_or_without(logs):
+    # One line of each kind logged, cut at every length: the newline never
+    # changes what is accepted, or a refusal's words.
+    seen = {}
+    for lines in logs.values():
+        for line in lines:
+            seen.setdefault(json.loads(line)["event_kind"], line)
+    for line in seen.values():
+        for end in range(len(line) + 1):
+            assert _outcome(line[:end] + "\n") == _outcome(line[:end]), line[:end]
+
+
 # -- memory ----------------------------------------------------------------------
 
 PEAK_BYTES = 100_000
@@ -326,4 +411,28 @@ def test_a_long_file_that_is_not_a_run_log_is_refused_in_bounded_memory(tmp_path
     log.write_text((line + "\n") * 20_000, encoding="utf-8")
     code, peak = _peak(["report", "--log", str(log)])
     assert code == 1
+    assert peak < PEAK_BYTES, f"{peak} bytes"
+
+
+def test_a_long_run_log_whose_every_detail_differs_streams(tmp_path):
+    # The memo's worst case: no detail text repeats, so it fills and
+    # empties throughout. The report's own totals stay small.
+    log = tmp_path / "x.events.jsonl"
+    with open(log, "w", encoding="utf-8") as out:
+        out.write(LoggedEvent(0, EVT_RUN_STARTED, detail={
+            "scenario": "x", "seed": 1, "horizon": 20_000}).to_json_line() + "\n")
+        for n in range(1, 19_999):
+            if n % 2:
+                event = LoggedEvent(n, "knowledge_inserted", "n", "a", detail={
+                    "family": f"fam-{n:05d}", "generation": n, "mode": "Tacit",
+                    "source": "SelfSource", "activity": "IntelligentProduct",
+                    "record_id": f"rec-{n:05d}"})
+            else:
+                event = LoggedEvent(n, "message_sent", "n", "a", f"m{n:06d}",
+                                    {"key": f"sensor.batch.{n:05d}", "kind": "SensorBatch"})
+            out.write(event.to_json_line() + "\n")
+        out.write(LoggedEvent(20_000, EVT_RUN_FINISHED,
+                              detail={"ticks": 20_000}).to_json_line() + "\n")
+    code, peak = _peak(["report", "--log", str(log)])
+    assert code == 0
     assert peak < PEAK_BYTES, f"{peak} bytes"
