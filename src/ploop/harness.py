@@ -890,7 +890,7 @@ class RunResult:
     @property
     def log_lines(self) -> tuple[str, ...]:
         """The log as written to ``<name>.events.jsonl``, one line per event."""
-        return tuple(event.to_json_line() for event in self.world.events)
+        return tuple(self.world.log_lines())
 
 
 def run(
@@ -926,7 +926,7 @@ def write_run_files(
         "repository": out / f"{name}.repository.jsonl",
     }
     # Each report text ends in the newline that write_lines adds.
-    write_lines((paths["events"], map(LoggedEvent.to_json_line, world.events)),
+    write_lines((paths["events"], world.log_lines()),
                 (paths["report_json"], (report.to_json()[:-1],)),
                 (paths["report_text"], (report.to_text()[:-1],)),
                 (paths["repository"],

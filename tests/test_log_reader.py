@@ -384,12 +384,15 @@ def test_a_line_cut_anywhere_decodes_alike_with_its_newline_or_without(logs):
 PEAK_BYTES = 100_000
 
 
-def _peak(argv):
+def _peak(argv, err=None):
+    """The exit code and traced peak of the second ``main(argv)``; its
+    stderr goes to ``err`` when one is given."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         main(argv)      # the parser is built once per process, not measured here
         tracemalloc.start()
         try:
-            code = main(argv)
+            with contextlib.redirect_stderr(err or io.StringIO()):
+                code = main(argv)
             return code, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -406,11 +409,16 @@ def test_report_streams_the_log(path, tmp_path):
 
 
 def test_a_long_file_that_is_not_a_run_log_is_refused_in_bounded_memory(tmp_path):
+    # 19,999 valid lines, then a cut one: the reader streams to line 20,000.
     log = tmp_path / "x.events.jsonl"
+    first = LoggedEvent(0, EVT_RUN_STARTED, detail={
+        "scenario": "x", "seed": 1, "horizon": 20_000}).to_json_line()
     line = LoggedEvent(1, "x", "n", "a", "m", {"k": "v" * 40}).to_json_line()
-    log.write_text((line + "\n") * 20_000, encoding="utf-8")
-    code, peak = _peak(["report", "--log", str(log)])
+    log.write_text(first + "\n" + (line + "\n") * 19_998 + line[:-1] + "\n", encoding="utf-8")
+    err = io.StringIO()
+    code, peak = _peak(["report", "--log", str(log)], err)
     assert code == 1
+    assert "x.events.jsonl:20000: " in err.getvalue()
     assert peak < PEAK_BYTES, f"{peak} bytes"
 
 

@@ -7,6 +7,7 @@ import string
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -1111,6 +1112,9 @@ def test_event_line_matches_reference_and_round_trips():
         decoded = LoggedEvent.from_json_line(line)
         assert decoded == event
         assert decoded.to_json_line() == line
+    # A detail is a dict; the writer refuses a non-empty mapping of another type.
+    with pytest.raises(TypeError, match="^Object of type mappingproxy is not JSON serializable$"):
+        LoggedEvent(1, "x", detail=MappingProxyType({"a": 1})).to_json_line()
 
 
 def test_record_line_matches_reference_and_round_trips():
