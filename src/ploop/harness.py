@@ -23,12 +23,15 @@ in a product (fleet declares 10) and its components, a latency pair,
 ``params`` or ``eol_policy``, is tested by one ``_field`` or ``_member``
 call, which states its rule once; a node reference is tested inline
 everywhere. Agents and stimuli are NamedTuples, the cheapest
-immutable record, and saving writes them without the deep copy that
-``asdict`` makes. On the idle workload (Python 3.11, 2-core x86-64 VM,
-best of 60 loads), a declared agent costs 2.0 us to decode and load, and
-a sensor reading 1.05 us. Building into the World (best of 150 builds,
-less a build without the agents or the readings) costs an agent 1.7 us
-and a reading, with its batch and the message that carries it, 1.2 us.
+immutable record, built with a bare ``tuple.__new__`` in field order
+past the NamedTuple's own ``__new__``, and saving writes them without
+the deep copy that ``asdict`` makes. On the idle workload (Python 3.11,
+2-core x86-64 VM, best of 60 loads, less a load without the agents or
+the readings), a declared agent costs 1.6-1.7 us to decode and load,
+and a sensor reading 0.9 us. Building into the World (best of 150
+builds, less a build without the agents or the readings) costs an agent
+1.7 us and a reading 0.6 us, its batch and the message that carries it
+aside. A run records each batch on its product's PEID in one step.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from .runtime import (
     RoutingTable,
     SimParams,
     World,
+    _new_tuple,
     _pair,
     _ROLES,
     detail_str,  # unused here; perfbench traces ploop.harness.detail_str by name
@@ -129,9 +133,12 @@ class ProductDecl:
 
 
 # A scenario declares agents and stimuli by the hundred, so they are
-# NamedTuples, the cheapest immutable record to build (0.4 us where a frozen
-# dataclass takes 1.3 us; Python 3.11, 2-core x86-64 VM). asdict keeps a
-# NamedTuple a tuple, so scenario_to_dict writes them with _asdict.
+# NamedTuples, the cheapest immutable record to build, and the loader builds
+# them with a bare tuple.__new__ in field order: an agent or a sensor batch
+# 0.2 us, where the NamedTuple's own __new__ takes 0.33 and 0.37 us and a
+# frozen dataclass 1.3 us (Python 3.11, 2-core x86-64 VM).
+# tests/test_bare_build.py pins each against its constructor. asdict keeps
+# a NamedTuple a tuple, so scenario_to_dict writes them with _asdict.
 
 
 class AgentDecl(NamedTuple):
@@ -445,7 +452,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                 if not (isinstance(stop, str) and stop in node_ids):
                     raise ScenarioValidationError(
                         f"agent {agent_id!r} itinerary references unknown node {stop!r}")
-        agents.append(AgentDecl(agent_id, role, home, product, tuple(itinerary)))
+        agents.append(_new_tuple(AgentDecl, (agent_id, role, home, product, tuple(itinerary))))
 
     rules = []
     for raw in _entries(doc, "routing", known=_RULE_KEYS):
@@ -497,7 +504,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         if not 0 <= lo <= hi:
             raise ScenarioValidationError(
                 f"partition ({a!r}, {b!r}) needs 0 <= from_tick <= to_tick")
-        partitions.append(PartitionWindow(a=a, b=b, from_tick=lo, to_tick=hi))
+        partitions.append(PartitionWindow(a, b, lo, hi))
 
     stimuli: list[Stimulus] = []
     for i, raw in enumerate(_entries(doc, "stimuli")):
@@ -537,14 +544,16 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                     raise ScenarioValidationError(
                         "sensor_batch events need sensor and unit strings, "
                         "and the value must be a number")
-            stim = Stimulus(tick_, node, kind, product, category, note, events)
+            stim = (tick_, node, kind, product, category, note, events, "", "")
         else:
-            stim = Stimulus(**raw)   # no other kind carries events
-            if kind == "customer_feedback" and not (type(stim.text) is str and stim.text):
+            # No other kind carries events, and each carries at most its own text.
+            text, detail = get("text", ""), get("detail", "")
+            if kind == "customer_feedback" and not (type(text) is str and text):
                 raise ScenarioValidationError("customer_feedback requires non-empty text")
-            if kind == "fault" and not (type(stim.detail) is str and stim.detail):
+            if kind == "fault" and not (type(detail) is str and detail):
                 raise ScenarioValidationError("fault requires a non-empty detail")
-        stimuli.append(stim)
+            stim = (tick_, node, kind, product, "", "", (), text, detail)
+        stimuli.append(_new_tuple(Stimulus, stim))
 
     params_raw = _field(doc, "params", "an object", {})
     _unknown_keys(params_raw, _PARAMS_KEYS, "params")

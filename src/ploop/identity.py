@@ -236,27 +236,31 @@ def _fill(peid: PEID, product_id: ProductID, capabilities: frozenset[PEIDCapabil
     _set_size(peid, size)
 
 
-def record_event(peid: PEID, event: SensorEvent) -> PEID:
-    """A PEID whose log is peid's with one sensor event appended; peid is
-    left as it was.
+def record_event(peid: PEID, *events: SensorEvent) -> PEID:
+    """A PEID whose log is peid's with the sensor events appended in order;
+    peid is left as it was, and so is its log when an event is refused.
 
-    The event's sim_time must not precede the log tail; prior entries are
-    never rewritten. Every PEID's log is ordered once built, so the tail
-    check is the whole check. The new PEID appends to peid's list in place
-    when peid's log is all of it; when an append from peid has already
-    grown the list, it appends to a copy of peid's own entries instead.
+    Each event's sim_time must not precede the entry before it, the first
+    event's the log tail; prior entries are never rewritten. The refusal
+    names the entry it would follow as the log tail, as appending the
+    events one at a time would. Every PEID's log is ordered once built, so
+    these checks are the whole check. The new PEID extends peid's list in
+    place when peid's log is all of it; when an append from peid has
+    already grown the list, it extends a copy of peid's own entries
+    instead. A whole batch thus costs one PEID.
     """
-    events, size = peid._events, peid._size
-    if size and event.sim_time < events[size - 1].sim_time:
-        raise NonMonotonicTime(
-            f"event at t={event.sim_time} precedes log tail "
-            f"t={events[size - 1].sim_time}"
-        )
-    if len(events) != size:
-        events = events[:size]
-    events.append(event)
+    log, size = peid._events, peid._size
+    tail = log[size - 1] if size else None
+    for event in events:
+        if tail is not None and event.sim_time < tail.sim_time:
+            raise NonMonotonicTime(
+                f"event at t={event.sim_time} precedes log tail t={tail.sim_time}")
+        tail = event
+    if len(log) != size:
+        log = log[:size]
+    log.extend(events)
     appended = object.__new__(type(peid))
-    _fill(appended, peid.product_id, peid.capabilities, events, size + 1)
+    _fill(appended, peid.product_id, peid.capabilities, log, size + len(events))
     return appended
 
 

@@ -72,7 +72,11 @@ the slots through the class's own descriptors, past the frozen
 ``__setattr__`` (``AgentState`` 0.5–0.7 µs, ``SensorEvent`` 0.45 µs,
 ``SensorBatch`` 0.6 µs, ``KnowledgeRecord`` 1.2 µs). ``spawn_agent``
 builds the state after its own refusals and before it touches an index,
-and indexes and logs the agent inline (1.8 µs). Same VM.
+and indexes and logs the agent inline (1.8 µs). A delivered batch
+reaches its product's PEID in one ``record_event`` call, which checks
+every reading, extends the PEID's log once and builds one PEID: a
+four-reading batch costs 0.9 µs, where a PEID per reading took 2.3 µs.
+An empty batch costs no call. Same VM.
 
 Fail-closed faults: partitioned migrations are refused at send time and
 logged; partitioned deliveries are dropped and logged; no message or agent
@@ -1002,12 +1006,9 @@ def _world_rules(world: World, message: Message) -> None:
             _advance_product(world, product, event)
     elif isinstance(payload, SensorBatch):
         product = world.products.get(payload.product_id.render())
-        if product is not None:
+        if product is not None and payload.events:
             try:
-                peid = product.peid
-                for event in payload.events:
-                    peid = record_event(peid, event)
-                product.peid = peid
+                product.peid = record_event(product.peid, *payload.events)
             except NonMonotonicTime as exc:
                 world.log(
                     EVT_PEID_REFUSED,

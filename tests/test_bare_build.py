@@ -7,21 +7,35 @@ Each of ``AgentState``, ``SensorEvent``, ``SensorBatch`` and
 which the engine calls too: for a spawned agent (``World.spawn_agent``),
 a reading and its batch (``build_world``) and a record (``tacit_record``
 and ``explicit_record``). A PEID is still built past its constructor, by
-``record_event``. A PEID's readings, on every fixture and golden
-scenario, equal reading for reading the log that the public
-``SensorEvent`` constructor and ``record_event`` build from the same
-stimuli in delivery order.
+``record_event``, one per batch. A PEID's readings, on every fixture and
+golden scenario, equal reading for reading the log that the public
+``SensorEvent`` constructor and ``record_event``, called once per
+reading, build from the same stimuli in delivery order.
+
+The loader builds each ``AgentDecl`` and ``Stimulus`` with a bare
+``tuple.__new__``, in field order, and each ``PartitionWindow``
+positionally; on every fixture and golden scenario each equals, with the
+same type and field for field, what its public constructor builds from
+the same document's keys.
 """
 
 import copy
 import dataclasses
+import json
 import pickle
 from pathlib import Path
 
 import pytest
 
 from ploop.agents import AgentError, AgentRole, AgentState
-from ploop.harness import build_world, load_scenario, run
+from ploop.harness import (
+    STIMULUS_KINDS,
+    AgentDecl,
+    Stimulus,
+    build_world,
+    load_scenario,
+    run,
+)
 from ploop.identity import PEID, IdentityError, SensorEvent, mint_product_id, record_event
 from ploop.knowledge import (
     Activity,
@@ -34,7 +48,7 @@ from ploop.knowledge import (
     tacit_record,
 )
 from ploop.messages import SensorBatch
-from ploop.runtime import NodeKind, World
+from ploop.runtime import NodeKind, PartitionWindow, World
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = (sorted((ROOT / "fixtures").glob("*.scn"))
@@ -123,6 +137,50 @@ class TestEngineBuiltValues:
             assert_same_value(product.peid, peid)
             readings += len(peid.event_log)
         assert readings == sum(len(s.events) for s in stimuli)
+
+
+def public_declarations(doc):
+    """The agents, stimuli and partitions the public constructors build
+    from a scenario document's own keys."""
+    agents = [AgentDecl(**{**raw, "role": AgentRole(raw["role"]),
+                           "itinerary": tuple(raw.get("itinerary", ()))})
+              for raw in doc.get("agents", [])]
+    stimuli = [Stimulus(**{**raw, "events": tuple(raw["events"])} if "events" in raw
+                        else raw)
+               for raw in doc.get("stimuli", [])]
+    partitions = [PartitionWindow(**raw) for raw in doc.get("partitions", [])]
+    return agents, stimuli, partitions
+
+
+def assert_same_declaration(built, public):
+    """built, made by the loader, is public field for field, each field of
+    the same type, so a swapped field cannot hide behind equal values."""
+    assert type(built) is type(public)
+    assert built == public
+    assert repr(built) == repr(public)
+    names = (public._fields if isinstance(public, tuple)
+             else [f.name for f in dataclasses.fields(public)])
+    for name in names:
+        assert type(getattr(built, name)) is type(getattr(public, name)), name
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_loaded_declarations_equal_the_constructors(path):
+    scenario = load_scenario(path)
+    agents, stimuli, partitions = public_declarations(json.loads(path.read_text()))
+    for loaded, public in ((scenario.agents, agents), (scenario.stimuli, stimuli),
+                           (scenario.partitions, partitions)):
+        assert len(loaded) == len(public)
+        for built, expected in zip(loaded, public):
+            assert_same_declaration(built, expected)
+
+
+def test_the_scenarios_declare_every_kind_of_declaration():
+    # Each loaded kind, and each stimulus kind, is compared somewhere above.
+    scenarios = [load_scenario(path) for path in SCENARIOS]
+    assert all(any(getattr(s, name) for s in scenarios)
+               for name in ("agents", "stimuli", "partitions"))
+    assert {stim.kind for s in scenarios for stim in s.stimuli} == set(STIMULUS_KINDS)
 
 
 class TestRecordBuilders:

@@ -148,6 +148,57 @@ class TestPEIDLog:
         assert record_event(with_b, last).event_log == (first, b, last)
         assert (with_a.event_log, with_b.event_log) == ((first, a), (first, b))
 
+    @staticmethod
+    def one_at_a_time(peid, events):
+        for event in events:
+            peid = record_event(peid, event)
+        return peid
+
+    BATCH = (SensorEvent("temp", 20.0, "C", 3), SensorEvent("rpm", 9.0, "Hz", 3),
+             SensorEvent("temp", 21.0, "C", 5))
+
+    def test_batch_equals_one_at_a_time_from_a_fresh_peid(self):
+        batched = record_event(self.make_peid(), *self.BATCH)
+        assert batched == self.one_at_a_time(self.make_peid(), self.BATCH)
+        assert batched.event_log == self.BATCH
+
+    def test_batch_equals_one_at_a_time_after_a_sibling_append(self):
+        # base's list has already been grown by an append to base, so the
+        # batch must extend a copy of base's own entries.
+        first, other = SensorEvent("temp", 19.0, "C", 1), SensorEvent("rpm", 8.0, "Hz", 2)
+        base = record_event(self.make_peid(), first)
+        sibling = record_event(base, other)
+        batched = record_event(base, *self.BATCH)
+        assert batched == self.one_at_a_time(base, self.BATCH)
+        assert batched.event_log == (first, *self.BATCH)
+        assert sibling.event_log == (first, other)
+        assert base.event_log == (first,)
+
+    @pytest.mark.parametrize("times, reason", [
+        ((7, 3), "event at t=3 precedes log tail t=7"),
+        ((2, 8), "event at t=2 precedes log tail t=6"),
+        ((6, 9, 8), "event at t=8 precedes log tail t=9"),
+    ])
+    def test_refused_batch_leaves_the_log_as_it_was(self, times, reason):
+        tail = SensorEvent("temp", 20.0, "C", 6)
+        peid = record_event(self.make_peid(), tail)
+        batch = [SensorEvent("temp", float(t), "C", t) for t in times]
+        with pytest.raises(NonMonotonicTime) as info:
+            record_event(peid, *batch)
+        assert str(info.value) == reason
+        assert peid.event_log == (tail,)
+        # Nothing was appended to the shared list either.
+        later = SensorEvent("rpm", 9.0, "Hz", 10)
+        assert record_event(peid, later).event_log == (tail, later)
+
+    def test_empty_batch_returns_an_equal_peid(self):
+        fresh = self.make_peid()
+        assert record_event(fresh) == fresh
+        base = record_event(fresh, *self.BATCH)
+        record_event(base, SensorEvent("temp", 30.0, "C", 9))   # grows base's list
+        assert record_event(base) == base
+        assert record_event(base).event_log == self.BATCH
+
     def test_unordered_log_rejected_at_construction(self):
         log = (SensorEvent("temp", 21.0, "C", 5), SensorEvent("temp", 22.0, "C", 3))
         with pytest.raises(NonMonotonicTime):

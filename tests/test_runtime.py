@@ -918,6 +918,8 @@ class TestWorldRules:
         assert product.peid.event_log == ordered
         refused = [e for e in tick(world) if e.event_kind == EVT_PEID_REFUSED]
         assert [e.msg_id for e in refused] == ["m000002"]
+        # The refusal names the batch's own previous reading, not the PEID's tail.
+        assert refused[0].detail["reason"] == "event at t=3 precedes log tail t=7"
         assert product.peid.event_log == ordered
 
     def test_disposition_without_components_is_refused(self):
