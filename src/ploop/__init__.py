@@ -5,5 +5,3 @@ Products carry embedded information devices and serial@uri identities;
 five cooperating agent roles migrate between lifecycle nodes, feed a
 knowledge repository from the extended end-of-life phase, and trigger the
 next product generation early enough to shorten its launch."""
-
-__version__ = "0.1.0"

@@ -11,27 +11,6 @@ which its manufacturing step completes. A feedback-enabled run triggers
 the next generation from accumulated knowledge; the paired baseline
 disables that rule and starts design at the scheduled retirement instead,
 so comparing the two isolates the feedback loop as the only difference.
-
-Loading pays per declared object only for what it checks where objects
-come by the hundred: at seed 1, idle declares 1,004 agents, 277 stimuli
-and 1,040 readings, and roaming 160 partitions. The loops over nodes,
-agents, stimuli with their readings, and partitions test each field
-inline, look a node kind or role up by value, and build a refusal's
-message only when they refuse; a list of entries that passes is checked
-in two C passes over its items and their keys. Every other field's type,
-in a product (fleet declares 10) and its components, a latency pair,
-``params`` or ``eol_policy``, is tested by one ``_field`` or ``_member``
-call, which states its rule once; a node reference is tested inline
-everywhere. Agents and stimuli are NamedTuples, the cheapest
-immutable record, built with a bare ``tuple.__new__`` in field order
-past the NamedTuple's own ``__new__``, and saving writes them without
-the deep copy that ``asdict`` makes. On the idle workload (Python 3.11,
-2-core x86-64 VM, best of 60 loads, less a load without the agents or
-the readings), a declared agent costs 1.6-1.7 us to decode and load,
-and a sensor reading 0.9 us. Building into the World (best of 150
-builds, less a build without the agents or the readings) costs an agent
-1.7 us and a reading 0.6 us, its batch and the message that carries it
-aside. A run records each batch on its product's PEID in one step.
 """
 
 from __future__ import annotations
@@ -133,12 +112,9 @@ class ProductDecl:
 
 
 # A scenario declares agents and stimuli by the hundred, so they are
-# NamedTuples, the cheapest immutable record to build, and the loader builds
-# them with a bare tuple.__new__ in field order: an agent or a sensor batch
-# 0.2 us, where the NamedTuple's own __new__ takes 0.33 and 0.37 us and a
-# frozen dataclass 1.3 us (Python 3.11, 2-core x86-64 VM).
-# tests/test_bare_build.py pins each against its constructor. asdict keeps
-# a NamedTuple a tuple, so scenario_to_dict writes them with _asdict.
+# NamedTuples, the cheapest immutable record, and the loader builds them
+# with _new_tuple in field order; tests/test_bare_build.py pins each
+# against its constructor.
 
 
 class AgentDecl(NamedTuple):
@@ -333,9 +309,15 @@ def _unknown_keys(raw: dict[str, Any], known: frozenset[str], what: str) -> None
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     """The scenario a document declares, or ScenarioValidationError naming
-    the first rule it breaks. The loops over nodes, agents, stimuli and
-    partitions inline their checks and build a refusal's message only when
-    they refuse."""
+    the first rule it breaks.
+
+    Loading pays per declared object only for what it checks, since
+    agents, stimuli with their readings, and partitions come by the
+    hundred: the loops over them and over nodes test each field inline,
+    look a node kind or role up by value, and build a refusal's message
+    only when they refuse. Every other field's type is tested by one
+    ``_field`` or ``_member`` call, which states its rule once; a node
+    reference is tested inline everywhere."""
     _require(isinstance(doc, dict), "scenario document must be a JSON object")
     _require(doc.get("format") == SCENARIO_FORMAT,
              "unsupported scenario format {!r}, expected {}", doc.get("format"), SCENARIO_FORMAT)

@@ -142,7 +142,9 @@ class IntelligenceLocation:
 
 @dataclass(frozen=True, slots=True, init=False)
 class SensorEvent:
-    """One scalar reading captured by the on-product device."""
+    """One scalar reading captured by the on-product device. A run builds
+    one per reading, so its one constructor sets the slots through their
+    descriptors, past the frozen ``__setattr__``."""
 
     sensor: str
     value: float

@@ -95,7 +95,9 @@ def classify_activity(activity: Activity) -> frozenset[KnowledgeMode]:
 
 @dataclass(frozen=True, slots=True, init=False)
 class KnowledgeRecord:
-    """One classified observation headed for the repository."""
+    """One classified observation headed for the repository. A run builds
+    one per observation, so its one constructor checks each rule once and
+    sets the slots past the frozen ``__setattr__``."""
 
     record_id: str
     product_id: ProductID
@@ -192,8 +194,8 @@ def write_lines(*outputs: tuple[Path | str, Iterable[str]]) -> None:
     be opened leaves the others' bytes as they were (one it had to create
     stays empty). An existing file is rewritten in place, then cut to the
     bytes written in ``finally``, so a failed write leaves no stale tail.
-    Truncating on open cost more: 150 us against 34 us to rewrite a 180 KB
-    file (ext4 mounted with discard, 2-core x86-64 VM). The file is not
+    Truncating on open cost more, on ext4 mounted with ``discard``, than
+    cutting after the write (``BENCH_in_place_writes.json``). The file is not
     unlinked first, so a symlinked output writes its target and a
     hard-linked one keeps its inode. It is cut only when longer than the
     bytes written, so /dev/null or a FIFO still works."""

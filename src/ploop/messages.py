@@ -25,7 +25,9 @@ KEY_DESIGN_TRIGGER = "design.trigger"
 @dataclass(frozen=True, slots=True, init=False)
 class SensorBatch:
     """A readout of on-product sensor events, tagged with the tacit
-    category it evidences (use, environment, failure)."""
+    category it evidences (use, environment, failure). A run builds one per
+    batch, so its one constructor sets the slots past the frozen
+    ``__setattr__``."""
 
     product_id: ProductID
     generation: int

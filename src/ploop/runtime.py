@@ -6,104 +6,32 @@ World. Each tick runs a fixed sub-phase order so equal (scenario, seed)
 pairs replay byte-identical logs:
 
   1. clock advances by one
-  2. due migrations complete (ordered by arrival tick, then agent id);
-     an arrival across a currently severed pair is held in flight until
-     the pair heals
+  2. due migrations complete, ordered by arrival tick, then agent id
   3. due lifecycle events run (retirement, disposition, design and
      manufacture of the next generation), in scheduling order
   4. due messages deliver, ordered by (deliver_at, msg_id): world rules
      for the payload kind apply first, then routing resolves recipients
      and each recipient handles the message, its effects applied in list
-     order; a delivery across a severed pair is blocked and logged
-  5. resident agents with a pending itinerary plan one migration attempt;
-     the stops an agent stands at were dropped from its itinerary when it
-     spawned or landed, so this step only plans
+     order
+  5. resident agents with a pending itinerary plan one migration attempt
+     each, in agent id order
 
 The engine draws no random numbers: every order above is fixed by ticks
 and ids, so the seed only labels the run in its log.
 
-Each product speaks through its own agent: a payload about one product
-(a sensor batch, service order, customer feedback or fault report) that
-a rule sends to the AgentProduct role reaches only the AgentProduct bound
-to that product, and a world holds at most one such agent per product.
-Other roles, and payloads about no one product, reach every resident
-agent of the role.
-
-Per-tick cost follows activity, not agent count. The World stores each
-fact once and keeps only the indexes a hot path reads, up to date instead
-of rescanning: the ids of the residents (every agent not in flight) and
-the same ids by role, which routing reads with the AgentProduct bound to
-each product; the residents with a pending itinerary, which step 5 walks;
-each severed pair's windows, merged into sorted bounds, which ``severed``
-reads; and each pair's latency, which ``migrate`` reads. An agent's place
-is its ``AgentState.location``, and ``census`` derives where every agent
-is from that and ``in_flight``. Spawn, migration start and arrival
-maintain the resident indexes; a product's AgentProduct is bound once, at
-spawn, and the windows and latencies are fixed at construction.
-A parked agent without an itinerary costs a tick nothing, and a delivery
-costs only the recipients its rule resolves to.
-
-A hop costs a fixed handful of small objects and no scan of the world.
-``migrate`` asks ``severed``, unindexes the agent in place, looks the
-pair's latency up once under either node order, and builds the
-``Transfer`` and the logged event with a bare ``tuple.__new__``, past
-the NamedTuple's own ``__new__`` (0.2 and 0.3 µs). On arrival the landed
-``AgentState`` is built through its constructor (0.5 µs), indexed in
-place and logged. ``severed`` is one dict lookup and, for a pair with
-windows, one ``bisect`` over its merged bounds (0.3 µs). Timings: Python
-3.11, 2-core x86-64 VM. Step 2 scans the in-flight transfers, returns at
-once when none is due, and sorts only the due ones (see ``Transfer`` for
-why this is a scan and not a heap).
-
-A delivery costs its recipients and its records, and nothing fixed
-beside them. ``RoutingTable.first_match`` scans the rules for a key once
-and then answers from a memo (0.1 µs, where a scan to fleet's seventh
-rule takes 1.2 µs). ``send`` builds the ``Message``, a NamedTuple, with
-a bare ``tuple.__new__`` (0.18 µs) and formats its id with ``%``
-(0.22 µs). A ``ProductID`` renders once, when it is built (a read takes
-0.06 µs). The events of a send, a delivery and an insert are appended
-as bare tuples, and an insert reads its record's enum values from the
-members' ``_value_`` attributes rather than through the ``value``
-property. Same VM as above.
-
-An agent state, a reading, a batch and a record each have one
-constructor: a hand-written ``__init__`` states each rule once and sets
-the slots through the class's own descriptors, past the frozen
-``__setattr__`` (``AgentState`` 0.5–0.7 µs, ``SensorEvent`` 0.45 µs,
-``SensorBatch`` 0.6 µs, ``KnowledgeRecord`` 1.2 µs). ``spawn_agent``
-builds the state after its own refusals and before it touches an index,
-and indexes and logs the agent inline (1.8 µs). A delivered batch
-reaches its product's PEID in one ``record_event`` call, which checks
-every reading, extends the PEID's log once and builds one PEID: a
-four-reading batch costs 0.9 µs, where a PEID per reading took 2.3 µs.
-An empty batch costs no call. Same VM.
-
-Fail-closed faults: partitioned migrations are refused at send time and
-logged; partitioned deliveries are dropped and logged; no message or agent
-ever crosses a severed pair.
+Partitions fail closed: no message or agent ever crosses a severed pair.
+A migration across one is refused at send time, an arrival across one is
+held in flight until the pair heals, and a delivery across one is
+blocked; each refusal and block is logged.
 
 Every log site passes its detail as a dict; ``LoggedEvent``, a
-NamedTuple, owns the line format. A detail that recurs comes from one
-table the World keeps by kind and values (``World.shared_detail``): the
-detail of ``agent_spawned``, ``message_sent``, ``migration_completed``
-and ``migration_refused``, and that of ``message_delivered``, which
-``message_blocked`` shares; a delivery looks it up once for all its
-recipients. So the events of one run may share a detail dict, as the
-events of one read do, and nothing mutates one. On the benchmark's
-seed-1 workloads 86% of idle's lines share their detail, 69% of fleet's
-and 54% of roaming's; the other kinds keep dict literals, since their
-details hardly repeat (every ``knowledge_inserted`` one differs).
-``LoggedEvent`` encodes a line in one pass, through one C encoder built
-at import, only when the line is written (``World.log_lines`` encodes
-each shared dict once per write), and decodes it only when a saved log
-is read back. Decoding calls json's C scanner once for the line, as
-read with its ``"\n"``, and once for a non-empty detail text that the
-reader's memo does not hold, with no Python call between; what else a
-line costs is one test of all six envelope types, one memo lookup and a
-bare ``tuple.__new__``. The memo keeps up to ``_DETAILS_KEPT`` decoded
-texts, so a repeated one (most ``agent_spawned`` lines share theirs) is
-decoded and type-tested once. ``EVENTS`` declares what each kind's line
-carries, and only readers check it.
+NamedTuple, owns the line format.
+
+Per-tick cost follows activity, not agent count: a parked agent without
+an itinerary costs a tick nothing, and a delivery costs only the
+recipients its rule resolves to. The World keeps up to date, instead of
+rescanning, only the indexes a hot path reads (see ``World.__init__``),
+so neither a hop nor a delivery scans the world.
 """
 
 from __future__ import annotations
@@ -239,11 +167,13 @@ _int = int.__repr__
 _DETAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _scan = json.JSONDecoder().scan_once
 _envelope = itemgetter("tick", "event_kind", "node", "agent", "msg_id", "detail")
+# Builds a NamedTuple from its fields in order, past the class's own __new__,
+# a Python function that only forwards them; the paths that build a record
+# per event, hop or declaration build it so.
 _new_tuple = tuple.__new__
-# The most detail texts a reader's memo holds (see from_json_line). With
-# 32, ploop report decodes 408 of the 2,459 detail texts of idle's log and
-# 4,294 of roaming's 6,623, and on a log whose every detail text differs it
-# peaks at 58 KB traced (41 KB with 16, 91 KB with 64).
+# The most detail texts a reader's memo holds (see from_json_line). Bounded,
+# so a read keeps no more decoded details however many distinct texts its
+# log holds; the notes of BENCH_detail_memo.json give the counts behind it.
 _DETAILS_KEPT = 32
 
 
@@ -257,9 +187,7 @@ class LoggedEvent(NamedTuple):
     written as key-sorted compact JSON text (``""`` when empty). Events of
     one run may share a detail dict (see ``World.shared_detail``), and so
     may events decoded through one memo; nothing mutates a detail.
-    ``from_json_line`` is the only decoder: json's C scanner reads the line,
-    and then a non-empty detail text, once each, and a field of the wrong
-    JSON type is refused, naming the first such field in envelope order.
+    ``from_json_line`` is the only decoder.
     """
 
     tick: int
@@ -284,12 +212,12 @@ class LoggedEvent(NamedTuple):
     @classmethod
     def from_json_line(cls, line: str,
                        details: dict[str, dict[str, Any]] | None = None) -> "LoggedEvent":
-        """The event a line holds; the line may end in its ``"\n"``. The C
+        """The event a line holds; the line may end in its ``"\\n"``. The C
         scanner reads the line, and then a non-empty detail text, in one
         call each; ``json.loads`` reads a text again only when that scan
         cannot start or stops short of the text's end (a line's final
-        ``"\n"`` aside), to skip surrounding whitespace or to raise its own
-        error. A line goes to ``json.loads`` less its ``"\n"``, and so does
+        ``"\\n"`` aside), to skip surrounding whitespace or to raise its own
+        error. A line goes to ``json.loads`` less its ``"\\n"``, and so does
         a line whose scan fails, so every error is worded as for the bare
         line. One expression tests every envelope type, and the event is
         built as a bare tuple.
@@ -357,8 +285,9 @@ if c_make_encoder is None:
         """Compact, key-sorted JSON: the detail field as a log line writes it."""
         return _DETAIL_ENCODER.encode(detail)
 else:
-    # No markers dict: nothing outlives a failed encode; a cyclic detail
-    # (never built, details are literals) raises RecursionError.
+    # No markers dict: nothing outlives a failed encode, and a cyclic detail
+    # would raise RecursionError. None is built: every detail, a dict literal
+    # or a World.shared_detail dict, holds only str and int values.
     _encode_detail = c_make_encoder(None, _DETAIL_ENCODER.default, _quote, None,
                                     ":", ",", True, False, True)
 
@@ -556,14 +485,12 @@ class Transfer(NamedTuple):
     """One agent in flight to ``target``, due at ``arrive_at``.
 
     The source is not stored: the agent's ``AgentState.location`` stays the
-    node it left until it lands. A NamedTuple that ``migrate`` builds with a
-    bare ``tuple.__new__``: about 0.2 µs, against 0.4 µs through the
-    NamedTuple's own ``__new__`` and 1.0 µs for a frozen dataclass (Python
-    3.11, 2-core x86-64 VM). Each tick scans ``World.in_flight`` for the
-    due transfers instead of keeping them in a heap: the roaming workload
-    never has more than 32 agents in flight, and an arrival held by a
-    partition stays due, so a heap would pop and push it back every tick
-    the pair stays severed.
+    node it left until it lands. A NamedTuple, the cheapest immutable
+    record, which ``migrate`` builds with ``_new_tuple``. Each tick scans
+    ``World.in_flight`` for the due transfers instead of keeping them in a
+    heap: in a run only agents with an itinerary travel, so few are in
+    flight, and an arrival held by a partition stays due, so a heap would
+    pop and push it back every tick the pair stays severed.
     """
 
     agent_id: str
@@ -629,6 +556,9 @@ class World:
 
     def log(self, event_kind: str, node: str = "", agent: str = "",
             msg_id: str = "", *, detail: dict[str, Any]) -> None:
+        """Append an event at the clock. The sites that log once per spawn,
+        send, hop, delivery or insert append their bare ``LoggedEvent``
+        inline instead, past this call."""
         self.events.append(
             _new_tuple(LoggedEvent, (self.clock, event_kind, node, agent, msg_id, detail))
         )
@@ -637,7 +567,11 @@ class World:
         """The one detail dict of ``key``, ``(kind, *values)``: the kind's
         ``EVENTS`` keys, in order, mapped to the values. Every value is a
         str, so equal keys mean equal details. The World keeps each dict
-        for its whole life, and the events that log it share it."""
+        for its whole life, and the events that log it share it. The kinds
+        whose details recur take theirs from here: ``agent_spawned``,
+        ``message_sent``, ``migration_completed``, ``migration_refused``,
+        and ``message_delivered``, whose dict ``message_blocked`` shares;
+        the other kinds' details hardly repeat and stay dict literals."""
         detail = self._details.get(key)
         if detail is None:
             detail = self._details[key] = dict(zip(EVENTS[key[0]][1], key[1:]))
@@ -708,6 +642,10 @@ class World:
         *,
         agent_id: str,
     ) -> str:
+        """Place a new agent, resident at ``home``, and log it. An unknown
+        node, a taken id, or a second AgentProduct for one product is
+        refused before any index is touched: a world holds at most one
+        AgentProduct per product."""
         nodes = self.nodes
         if home not in nodes:
             raise UnknownNode(f"home node {home!r} is not registered")
@@ -772,14 +710,16 @@ class World:
     # -- partitions -------------------------------------------------------
 
     def severed(self, a: str, b: str) -> bool:
-        """Whether a window covers the pair (in either order) at the clock."""
+        """Whether a window covers the pair (in either order) at the clock:
+        one dict lookup and, for a pair with windows, one bisect."""
         bounds = self._bounds.get((a, b))
         return bounds is not None and bisect_right(bounds, self.clock) % 2 == 1
 
     # -- invariant helpers --------------------------------------------------
 
     def census(self) -> dict[str, str]:
-        """Where every agent is right now: 'node:<id>' or 'in_flight'."""
+        """Where every agent is right now: 'node:<id>' or 'in_flight',
+        derived from each resident's location and ``in_flight``."""
         agents = self.agents
         placement = {aid: f"node:{agents[aid].location}" for aid in self._residents}
         for aid in self.in_flight:
@@ -997,7 +937,9 @@ _PAYLOAD_EVENTS = {
 
 
 def _world_rules(world: World, message: Message) -> None:
-    """Engine-level consequences of a payload arriving, before routing."""
+    """Engine-level consequences of a payload arriving, before routing. A
+    non-empty sensor batch reaches its product's PEID in one
+    ``record_event`` call."""
     payload = message.payload
     event = _PAYLOAD_EVENTS.get(type(payload))
     if event is not None:
@@ -1081,7 +1023,9 @@ def _apply_effect(world: World, agent: AgentState, effect: Effect) -> None:
 
 def _insert_record(world: World, agent: AgentState, record: KnowledgeRecord) -> None:
     """Insert at the keeper; the insert that brings its (family, generation)
-    to exactly the threshold sends the design trigger, so it fires once."""
+    to exactly the threshold sends the design trigger, so it fires once.
+    The logged enum values are read from the members' ``_value_``, past
+    the ``value`` property."""
     try:
         world.repository.insert(record)
     except DuplicateRecord:
