@@ -1,8 +1,7 @@
 """Scenario files, simulation orchestration, launch metrics, and reports.
 
 A scenario is a single versioned JSON document (top-level ``format: 1``)
-declaring nodes, products, agents, routing rules, latencies, partition
-windows, scripted stimuli, and engine parameters. ``run`` executes it tick
+whose objects and keys ``SCENARIO`` declares. ``run`` executes it tick
 by tick and derives the report purely from the emitted event log, so a
 saved log can be re-reported later and must match.
 
@@ -16,8 +15,8 @@ so comparing the two isolates the feedback loop as the only difference.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple
@@ -126,28 +125,17 @@ class AgentDecl(NamedTuple):
 
 
 class Stimulus(NamedTuple):
-    """One scripted input; kind selects which extra fields apply."""
+    """One scripted input; its kind selects which keys it carries (see SCENARIO)."""
 
     tick: int
     node: str
-    kind: str                      # sensor_batch | customer_feedback | fault | retirement
+    kind: str
     product: str
-    category: str = ""             # sensor_batch
-    note: str = ""                 # sensor_batch
-    events: tuple[dict[str, Any], ...] = ()   # sensor_batch: sensor/value/unit
-    text: str = ""                 # customer_feedback
-    detail: str = ""               # fault
-
-
-# The keys a stimulus of each kind may carry.
-_STIMULUS_KEYS = {
-    kind: frozenset(("tick", "node", "kind", "product", *extra))
-    for kind, extra in (("sensor_batch", ("category", "note", "events")),
-                        ("customer_feedback", ("text",)),
-                        ("fault", ("detail",)),
-                        ("retirement", ()))
-}
-STIMULUS_KINDS = tuple(_STIMULUS_KEYS)
+    category: str = ""
+    note: str = ""
+    events: tuple[dict[str, Any], ...] = ()
+    text: str = ""
+    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -165,6 +153,62 @@ class Scenario:
     params: SimParams
 
 
+# A key of a scenario object: its JSON kind, its default (MISSING: the key is
+# required) and, for an enum, its members by value in declaration order.
+Key = namedtuple("Key", ("kind", "default", "members"), defaults=(MISSING, None))
+
+
+def _enum(enum: Any, kind: str = "a string", default: Any = MISSING) -> Key:
+    return Key(kind, default, {member.value: member for member in enum})
+
+
+def _held(cls: Any, kind: str, *keys: str) -> dict[str, Key]:   # defaults that cls holds
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {key: Key(kind, defaults[key]) for key in keys}
+
+
+_STR, _INT, _NUM, _TEXT = Key("a string"), Key("an integer"), Key("a number"), Key("a string", "")
+_LIST, _OBJECT = Key("a list", []), Key("an object", {})
+# The scenario vocabulary: each object of a scenario file with its keys in file
+# order. Any other key is refused, an absent one is read as its default, which a
+# rule stated elsewhere may refuse, and a stimulus kind adds the keys it lists.
+SCENARIO: dict[str, dict[str, Key]] = {
+    "scenario": {"format": _INT, "name": _STR, "seed": Key("an integer", 0), "horizon": _INT,
+                 "nodes": _LIST, "products": _LIST, "agents": _LIST, "routing": _LIST,
+                 "latency": _OBJECT, "partitions": _LIST, "stimuli": _LIST, "params": _OBJECT},
+    "node": {"id": _STR, "kind": _enum(NodeKind)},
+    "product": {"serial": _STR, "uri": _STR, "generation": Key("an integer", 1),
+                "phase": _enum(LifecyclePhase), "node": _STR, "components": _LIST,
+                "capabilities": _enum(PEIDCapability, "a list", [c.value for c in PEIDCapability]),
+                "memory": _OBJECT, "intelligence_location": Key("an object", None)},
+    "component": {"component": _STR, "condition": _NUM,
+                  **_held(ComponentCondition, "a boolean", "hazardous")},
+    "intelligence_location": {"channel": _enum(IntelligenceChannel),
+                              "granularity": _enum(IntelligenceGranularity)},
+    "agent": {"id": _STR, "role": Key("a string", members=_ROLES), "home": _STR,
+              "product": Key("a string", None), "itinerary": _LIST},
+    "routing rule": {"pattern": _TEXT, "recipients": _LIST},
+    "latency": {**_held(LatencyMap, "an integer", "default"), "pairs": _LIST},
+    "latency pair": {"a": _STR, "b": _STR, "ticks": _INT},
+    "partition": {"a": _STR, "b": _STR, "from_tick": _INT, "to_tick": _INT},
+    "stimulus": {"tick": _INT, "node": _STR, "kind": Key("a string", members={
+                     "sensor_batch": ("category", "note", "events"), "customer_feedback": ("text",),
+                     "fault": ("detail",), "retirement": ()}), "product": _STR,
+                 "category": Key("a string", "", dict(zip(TACIT_CATEGORIES, TACIT_CATEGORIES))),
+                 "note": _TEXT, "events": _LIST, "text": _TEXT, "detail": _TEXT},
+    "sensor reading": {"sensor": _STR, "value": _NUM, "unit": _STR},
+    "params": {**_held(SimParams, "an integer", "trigger_threshold", "message_latency",
+                       "design_ticks", "manufacture_ticks", "disposal_ticks"),
+               **_held(SimParams, "a boolean", "trigger_rule_enabled"), "eol_policy": _OBJECT},
+    "eol_policy": _held(EOLPolicy, "a number", "reuse_threshold", "component_threshold",
+                        "reclaim_threshold"),
+}
+_KNOWN = {name: frozenset(keys) for name, keys in SCENARIO.items()}
+_OWN = SCENARIO["stimulus"]["kind"].members
+_CARRIED = {k: _KNOWN["stimulus"].difference(*_OWN.values()).union(own) for k, own in _OWN.items()}
+STIMULUS_KINDS = tuple(_CARRIED)
+
+
 # -- load / save --------------------------------------------------------------
 
 
@@ -175,9 +219,8 @@ def _require(cond: bool, message: str, *args: Any) -> None:
 
 
 def _member(members: dict[str, Any], raw: Any, what: str, *args: Any) -> Any:
-    """The member whose value raw is, looked up in members, an Enum's
-    members by value in declaration order. A miss is refused, listing those
-    values, with what formatted by args only then."""
+    """The member whose value raw is, in the members of a key of SCENARIO. A
+    miss is refused, listing their values, with what formatted by args only then."""
     member = members.get(raw) if type(raw) is str else None
     if member is None:
         raise ScenarioValidationError(
@@ -200,15 +243,6 @@ _NUMBER = _KINDS["a number"]
 # For checking every item's type in one C pass: set.issuperset(map(type, items)).
 _DICTS = frozenset(_KINDS["an object"])
 _STRS = frozenset(_KINDS["a string"])
-
-# Each member by its value, for _member.
-_NODE_KINDS = {kind.value: kind for kind in NodeKind}
-_CAPABILITIES = {cap.value: cap for cap in PEIDCapability}
-_PHASES = {phase.value: phase for phase in LifecyclePhase}
-_CHANNELS = {channel.value: channel for channel in IntelligenceChannel}
-_GRANULARITIES = {size.value: size for size in IntelligenceGranularity}
-# An absent capabilities list declares all five, in declaration order.
-_ALL_CAPABILITY_VALUES = [cap.value for cap in PEIDCapability]
 
 
 def _field(raw: dict[str, Any], key: str, kind: str, default: Any = MISSING,
@@ -253,48 +287,16 @@ def _counts(raw: dict[str, Any], key: str) -> dict[str, int]:
     return dict(counts)
 
 
-def _keys(cls: Any) -> frozenset[str]:
-    """The field names of a dataclass: the keys of the object it is read from."""
-    return frozenset(f.name for f in fields(cls))
+def _value(raw: dict[str, Any], keys: dict[str, Key], key: str, what: str = "") -> Any:
+    """raw[key] as _field reads it, of the kind and with the default in keys."""
+    kind, default, _ = keys[key]
+    value = raw.get(key, default)
+    return value if type(value) in _KINDS[kind] else _field(raw, key, kind, default, what)
 
 
-# The keys the loader reads from each object; any other key is refused.
-# Each is the field set of the class the object is read into, except the
-# latency pair and the sensor event, which no class of that shape holds.
-# A product's memory is free-form and is not checked.
-_SCENARIO_KEYS = _keys(Scenario) | {"format"}
-_NODE_KEYS = _keys(NodeDecl)
-_PRODUCT_KEYS = _keys(ProductDecl)
-_COMPONENT_KEYS = _keys(ComponentCondition)
-_LOCATION_KEYS = _keys(IntelligenceLocation)
-_AGENT_KEYS = frozenset(AgentDecl._fields)
-_RULE_KEYS = _keys(RoutingRule)
-_LATENCY_KEYS = _keys(LatencyMap)
-_PAIR_KEYS = frozenset(("a", "b", "ticks"))
-_PARTITION_KEYS = _keys(PartitionWindow)
-_EVENT_ORDER = ("sensor", "value", "unit")   # the file's order
-_EVENT_KEYS = frozenset(_EVENT_ORDER)
-_PARAMS_KEYS = _keys(SimParams)
-_POLICY_KEYS = _keys(EOLPolicy)
-
-# The JSON kind of each annotated field type that _build reads.
-_TYPE_KINDS = {"int": "an integer", "float": "a number", "bool": "a boolean", "str": "a string"}
-
-
-@cache
-def _reads(cls: Any) -> tuple[tuple[str, str, bool], ...]:
-    """The fields _build reads for cls: name, JSON kind and whether the field
-    is required, having no default. A field of another type is given."""
-    return tuple((f.name, _TYPE_KINDS[f.type], f.default is MISSING)
-                 for f in fields(cls) if f.type in _TYPE_KINDS)
-
-
-def _build(cls: Any, raw: dict[str, Any], what: str = "", **given: Any) -> Any:
-    """cls from given and the keys of raw, each of its field's JSON kind. A
-    field with a default is read only when present, so an absent one takes
-    the dataclass's own default."""
-    return cls(**given, **{name: _field(raw, name, kind, what=what)
-                           for name, kind, required in _reads(cls) if required or name in raw})
+def _values(raw: dict[str, Any], keys: dict[str, Key], what: str = "") -> dict[str, Any]:
+    """Each of keys, in order, to raw's value for it, of its kind or its default."""
+    return {key: _field(raw, key, kind, default, what) for key, (kind, default, _) in keys.items()}
 
 
 def _unknown_keys(raw: dict[str, Any], known: frozenset[str], what: str) -> None:
@@ -309,51 +311,46 @@ def _unknown_keys(raw: dict[str, Any], known: frozenset[str], what: str) -> None
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     """The scenario a document declares, or ScenarioValidationError naming
-    the first rule it breaks.
-
-    Loading pays per declared object only for what it checks, since
-    agents, stimuli with their readings, and partitions come by the
-    hundred: the loops over them and over nodes test each field inline,
-    look a node kind or role up by value, and build a refusal's message
-    only when they refuse. Every other field's type is tested by one
-    ``_field`` or ``_member`` call, which states its rule once; a node
-    reference is tested inline everywhere."""
+    the first rule it breaks. The loops over nodes, agents, partitions and
+    stimuli test each key inline; every other key is read as SCENARIO says."""
     _require(isinstance(doc, dict), "scenario document must be a JSON object")
     _require(doc.get("format") == SCENARIO_FORMAT,
              "unsupported scenario format {!r}, expected {}", doc.get("format"), SCENARIO_FORMAT)
-    _unknown_keys(doc, _SCENARIO_KEYS, "scenario")
+    _unknown_keys(doc, _KNOWN["scenario"], "scenario")
     name = doc.get("name")
     _require(isinstance(name, str) and bool(name), "scenario name must be a non-empty string")
     # The run files are named after it, inside the output directory.
     _require(not any(c in name for c in "/\\\0"),
              "scenario name {!r} must be a file name, without '/', '\\' or NUL", name)
-    seed = _field(doc, "seed", "an integer", 0)
+    seed = _value(doc, SCENARIO["scenario"], "seed")
     _require(seed >= 0, "seed must be a non-negative integer")
-    horizon = _field(doc, "horizon", "an integer")
+    horizon = _value(doc, SCENARIO["scenario"], "horizon")
     _require(horizon >= 1, "horizon must be an integer >= 1")
 
     nodes: list[NodeDecl] = []
     node_ids: set[str] = set()
-    for raw in _entries(doc, "nodes", known=_NODE_KEYS):
+    node_kinds = SCENARIO["node"]["kind"].members
+    for raw in _entries(doc, "nodes", known=_KNOWN["node"]):
         node_id = raw.get("id")
         if not (isinstance(node_id, str) and node_id):
             raise ScenarioValidationError("node id must be a non-empty string")
         if node_id in node_ids:
             raise ScenarioValidationError(f"duplicate node id {node_id!r}")
         node_ids.add(node_id)
-        nodes.append(NodeDecl(node_id, _member(_NODE_KINDS, raw.get("kind"), "node {}", node_id)))
+        nodes.append(NodeDecl(node_id, _member(node_kinds, raw.get("kind"), "node {}", node_id)))
     _require(bool(nodes), "at least one node is required")
 
     products: list[ProductDecl] = []
     product_ids: set[str] = set()
     successors: dict[str, str] = {}   # next generation's id -> its parent product
-    for raw in _entries(doc, "products", known=_PRODUCT_KEYS):
-        serial = _field(raw, "serial", "a string", what="product ")
+    declared = SCENARIO["product"]
+    for raw in _entries(doc, "products", known=_KNOWN["product"]):
+        serial = _value(raw, declared, "serial", "product ")
         what = f"product {serial!r}: "
-        uri = _field(raw, "uri", "a string", what=what)
-        values = _field(raw, "capabilities", "a list", _ALL_CAPABILITY_VALUES, what)
-        capabilities = tuple([_member(_CAPABILITIES, c, "product {!r} capability", serial)
-                              for c in values])
+        uri = _value(raw, declared, "uri", what)
+        members = declared["capabilities"].members
+        capabilities = tuple([_member(members, c, "product {!r} capability", serial)
+                              for c in _value(raw, declared, "capabilities", what)])
         try:
             product_id = mint_product_id(serial, uri)
             PEID(product_id, capabilities)   # the device's own rules
@@ -363,25 +360,28 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         node = raw.get("node")
         if not (isinstance(node, str) and node in node_ids):
             raise ScenarioValidationError(f"product {serial!r} references unknown node {node!r}")
-        generation = _field(raw, "generation", "an integer", 1, what)
+        generation = _value(raw, declared, "generation", what)
         _require(generation >= 1, "product {!r}: generation must be an integer >= 1", serial)
         components = []
-        for c in _entries(raw, "components", "product {!r}: ", _COMPONENT_KEYS, serial):
+        for c in _entries(raw, "components", "product {!r}: ", _KNOWN["component"], serial):
             try:
-                components.append(_build(ComponentCondition, c, f"{what}component "))
+                components.append(ComponentCondition(**_values(c, SCENARIO["component"],
+                                                               f"{what}component ")))
             except ValueError as exc:
                 raise ScenarioValidationError(f"product {serial!r} component: {exc}") from None
         location_meta = None
-        if raw.get("intelligence_location") is not None:
-            meta_raw = _field(raw, "intelligence_location", "an object", what=what)
-            _unknown_keys(meta_raw, _LOCATION_KEYS, f"product {serial!r} intelligence_location")
+        if raw.get("intelligence_location") is not None:   # null is its default
+            meta_raw = _value(raw, declared, "intelligence_location", what)
+            _unknown_keys(meta_raw, _KNOWN["intelligence_location"],
+                          f"product {serial!r} intelligence_location")
+            location = SCENARIO["intelligence_location"]
             location_meta = IntelligenceLocation(
-                _member(_CHANNELS, meta_raw.get("channel"),
+                _member(location["channel"].members, meta_raw.get("channel"),
                         "product {!r} intelligence channel", serial),
-                _member(_GRANULARITIES, meta_raw.get("granularity"),
+                _member(location["granularity"].members, meta_raw.get("granularity"),
                         "product {!r} intelligence granularity", serial))
-        phase = _member(_PHASES, raw.get("phase"), "product {!r} phase", serial)
-        memory = _field(raw, "memory", "an object", {}, what)
+        phase = _member(declared["phase"].members, raw.get("phase"), "product {!r} phase", serial)
+        memory = _value(raw, declared, "memory", what)
         if rendered in product_ids:
             raise ScenarioValidationError(f"duplicate product {rendered!r}")
         product_ids.add(rendered)
@@ -396,7 +396,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     agents: list[AgentDecl] = []
     agent_ids: set[str] = set()
     bound: dict[str, str] = {}   # product -> the AgentProduct that speaks for it
-    for raw in _entries(doc, "agents", known=_AGENT_KEYS):
+    for raw in _entries(doc, "agents", known=_KNOWN["agent"]):
         get = raw.get
         agent_id = get("id")
         if not (isinstance(agent_id, str) and agent_id):
@@ -426,7 +426,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             bound[product] = agent_id
         itinerary = get("itinerary", [])
         if type(itinerary) is not list:
-            _field(raw, "itinerary", "a list", what=f"agent {agent_id!r}: ")
+            _value(raw, SCENARIO["agent"], "itinerary", f"agent {agent_id!r}: ")
         # Two C passes accept a list of known node ids.
         if itinerary and not (_STRS.issuperset(map(type, itinerary))
                               and node_ids.issuperset(itinerary)):
@@ -437,9 +437,9 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         agents.append(_new_tuple(AgentDecl, (agent_id, role, home, product, tuple(itinerary))))
 
     rules = []
-    for raw in _entries(doc, "routing", known=_RULE_KEYS):
-        pattern = _field(raw, "pattern", "a string", "", "routing rule ")
-        recipients = tuple(_field(raw, "recipients", "a list", [], "routing rule "))
+    for raw in _entries(doc, "routing", known=_KNOWN["routing rule"]):
+        pattern = _value(raw, SCENARIO["routing rule"], "pattern", "routing rule ")
+        recipients = tuple(_value(raw, SCENARIO["routing rule"], "recipients", "routing rule "))
         _require(all(type(r) is str for r in recipients),
                  "routing rule recipients must be strings, got {!r}", list(recipients))
         # No agent is spawned after loading, so any other name never matches.
@@ -452,28 +452,28 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     except InvalidRoutingTable as exc:
         raise ScenarioValidationError(f"routing: {exc}") from None
 
-    latency_raw = _field(doc, "latency", "an object", {})
-    _unknown_keys(latency_raw, _LATENCY_KEYS, "latency")
+    latency_raw = _value(doc, SCENARIO["scenario"], "latency")
+    _unknown_keys(latency_raw, _KNOWN["latency"], "latency")
     pairs: dict[tuple[str, str], int] = {}
-    for raw in _entries(latency_raw, "pairs", "latency ", _PAIR_KEYS):
+    for raw in _entries(latency_raw, "pairs", "latency ", _KNOWN["latency pair"]):
         a, b = raw.get("a"), raw.get("b")
         if not (isinstance(a, str) and a in node_ids and isinstance(b, str) and b in node_ids):
             raise ScenarioValidationError(f"latency pair ({a!r}, {b!r}) unknown node")
         if a == b:
             raise ScenarioValidationError(
                 f"latency pair ({a!r}, {b!r}) must name two distinct nodes")
-        ticks_ = _field(raw, "ticks", "an integer", what="latency ")
+        ticks_ = _value(raw, SCENARIO["latency pair"], "ticks", "latency ")
         _require(ticks_ >= 1, "latency ticks must be an integer >= 1")
         key = _pair(a, b)
         if key in pairs:
             raise ScenarioValidationError(f"duplicate latency pair ({a!r}, {b!r})")
         pairs[key] = ticks_
-    default_latency = _field(latency_raw, "default", "an integer", LatencyMap.default, "latency ")
+    default_latency = _value(latency_raw, SCENARIO["latency"], "default", "latency ")
     _require(default_latency >= 1, "default latency must be an integer >= 1")
     latency = LatencyMap(default=default_latency, pairs=pairs)
 
     partitions: list[PartitionWindow] = []
-    for raw in _entries(doc, "partitions", known=_PARTITION_KEYS):
+    for raw in _entries(doc, "partitions", known=_KNOWN["partition"]):
         a, b = raw.get("a"), raw.get("b")
         if not (isinstance(a, str) and a in node_ids and isinstance(b, str) and b in node_ids):
             raise ScenarioValidationError(f"partition ({a!r}, {b!r}) unknown node")
@@ -481,8 +481,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             raise ScenarioValidationError(f"partition ({a!r}, {b!r}) must name two distinct nodes")
         lo, hi = raw.get("from_tick"), raw.get("to_tick")
         if type(lo) is not int or type(hi) is not int:
-            for key in ("from_tick", "to_tick"):
-                _field(raw, key, "an integer", what=f"partition ({a!r}, {b!r}): ")
+            _values(raw, SCENARIO["partition"], f"partition ({a!r}, {b!r}): ")
         if not 0 <= lo <= hi:
             raise ScenarioValidationError(
                 f"partition ({a!r}, {b!r}) needs 0 <= from_tick <= to_tick")
@@ -492,7 +491,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     for i, raw in enumerate(_entries(doc, "stimuli")):
         get = raw.get
         kind = get("kind")
-        known = _STIMULUS_KEYS.get(kind) if type(kind) is str else None
+        known = _CARRIED.get(kind) if type(kind) is str else None
         if known is None:
             raise ScenarioValidationError(
                 f"stimulus kind {kind!r} is not one of {', '.join(STIMULUS_KINDS)}")
@@ -500,7 +499,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             _unknown_keys(raw, known, f"stimuli[{i}] ({kind})")
         tick_ = get("tick")
         if type(tick_) is not int:
-            _field(raw, "tick", "an integer", what="stimulus ")
+            _value(raw, SCENARIO["stimulus"], "tick", "stimulus ")
         if not 1 <= tick_ <= horizon:
             raise ScenarioValidationError(
                 f"stimulus tick {tick_!r} must be within 1..{horizon}")
@@ -511,7 +510,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         if not (isinstance(product, str) and product in product_ids):
             raise ScenarioValidationError(f"stimulus references unknown product {product!r}")
         if kind == "sensor_batch":
-            events = tuple(_entries(raw, "events", "stimulus ", _EVENT_KEYS))
+            events = tuple(_entries(raw, "events", "stimulus ", _KNOWN["sensor reading"]))
             category, note = get("category", ""), get("note", "")
             if category not in TACIT_CATEGORIES:
                 raise ScenarioValidationError(
@@ -537,12 +536,13 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             stim = (tick_, node, kind, product, "", "", (), text, detail)
         stimuli.append(_new_tuple(Stimulus, stim))
 
-    params_raw = _field(doc, "params", "an object", {})
-    _unknown_keys(params_raw, _PARAMS_KEYS, "params")
+    params_raw = _value(doc, SCENARIO["scenario"], "params")
+    _unknown_keys(params_raw, _KNOWN["params"], "params")
     try:
-        policy_raw = _field(params_raw, "eol_policy", "an object", {})
-        _unknown_keys(policy_raw, _POLICY_KEYS, "eol_policy")
-        params = _build(SimParams, params_raw, eol_policy=_build(EOLPolicy, policy_raw))
+        policy_raw = _value(params_raw, SCENARIO["params"], "eol_policy")
+        _unknown_keys(policy_raw, _KNOWN["eol_policy"], "eol_policy")
+        policy = EOLPolicy(**_values(policy_raw, SCENARIO["eol_policy"]))
+        params = SimParams(**_values(params_raw, SCENARIO["params"]) | {"eol_policy": policy})
     except Exception as exc:
         raise ScenarioValidationError(f"params: {exc}") from None
 
@@ -562,22 +562,20 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """Canonical document form; save(load(x)) is byte-stable. Field order
-    is file order, so asdict writes all but the rule list, the sorted
-    latency pairs, and the agents and stimuli, NamedTuples that asdict
-    would copy leaf by leaf only to keep them tuples; they are left out of
-    its copy and written with _asdict, each stimulus with its own kind's
-    keys."""
+    """Canonical document form; save(load(x)) is byte-stable. Field order is
+    file order, so asdict writes all but the rule list, the sorted latency
+    pairs, and the agents and stimuli: NamedTuples, which asdict would copy
+    leaf by leaf, written with _asdict, each stimulus with its kind's keys."""
     doc = {"format": SCENARIO_FORMAT, **asdict(replace(scenario, agents=(), stimuli=()))}
     doc["routing"] = doc["routing"]["rules"]
     doc["latency"]["pairs"] = [{"a": a, "b": b, "ticks": ticks_}
                                for (a, b), ticks_ in sorted(scenario.latency.pairs.items())]
     doc["agents"] = [agent._asdict() for agent in scenario.agents]
-    doc["stimuli"] = [{k: v for k, v in s._asdict().items() if k in _STIMULUS_KEYS[s.kind]}
+    doc["stimuli"] = [{k: v for k, v in s._asdict().items() if k in _CARRIED[s.kind]}
                       for s in scenario.stimuli]
     for s in doc["stimuli"]:
         if "events" in s:
-            s["events"] = [{k: e[k] for k in _EVENT_ORDER} for e in s["events"]]
+            s["events"] = [{k: e[k] for k in SCENARIO["sensor reading"]} for e in s["events"]]
     return doc
 
 
@@ -718,8 +716,8 @@ class RunReport:
         launch_times = []
         for i, lt in enumerate(_field(raw, "launch_times", "a list")):
             _require(type(lt) is dict, "launch_times[{}] must be an object", i)
-            _unknown_keys(lt, _LAUNCH_KEYS, f"launch_times[{i}]")
-            launch_times.append(_build(LaunchTime, lt, f"launch_times[{i}]."))
+            _unknown_keys(lt, frozenset(_LAUNCH), f"launch_times[{i}]")
+            launch_times.append(LaunchTime(**_values(lt, _LAUNCH, f"launch_times[{i}].")))
         return cls(
             scenario=_field(raw, "scenario", "a string"),
             seed=_field(raw, "seed", "an integer"),
@@ -772,12 +770,13 @@ class RunReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-# The keys a report is read back from; any other key is refused.
-_REPORT_KEYS, _LAUNCH_KEYS = _keys(RunReport), _keys(LaunchTime)
+# A report's keys, the fields to_json writes, and a launch time's; no other is read.
+_REPORT_KEYS = frozenset(f.name for f in fields(RunReport))
+_LAUNCH = {"family": _STR, "generation": _INT, "tick": _INT}
 # The JSON kind of each detail key of the events a report reads, from the
 # type runtime.EVENTS declares for it.
 _STARTED, _INSERTED, _LAUNCHED, _EOL = (
-    {key: _TYPE_KINDS[type_.__name__] for key, type_ in EVENTS[kind][1].items()}
+    {key: {int: "an integer", str: "a string"}[type_] for key, type_ in EVENTS[kind][1].items()}
     for kind in (EVT_RUN_STARTED, EVT_KNOWLEDGE_INSERTED, EVT_GENERATION_LAUNCHED,
                  EVT_EOL_DECISION))
 # The kinds compute_report acts on after the first event; it skips the rest.

@@ -10,6 +10,15 @@ from ploop.runtime import NodeKind, RoutingRule, RoutingTable, SimParams, World
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def pytest_collection_finish(session):
+    """Start test_replay's interpreters as soon as the tests are collected,
+    when any of that module's tests is to run, so that they work beside the
+    tests that run before it."""
+    if any(item.path.name == "test_replay.py" for item in session.items):
+        import test_replay
+        test_replay.start_all()
+
+
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
