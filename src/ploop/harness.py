@@ -314,8 +314,9 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     the first rule it breaks. The loops over nodes, agents, partitions and
     stimuli test each key inline; every other key is read as SCENARIO says."""
     _require(isinstance(doc, dict), "scenario document must be a JSON object")
-    _require(doc.get("format") == SCENARIO_FORMAT,
-             "unsupported scenario format {!r}, expected {}", doc.get("format"), SCENARIO_FORMAT)
+    version = doc.get("format")
+    _require(type(version) is int and version == SCENARIO_FORMAT,
+             "unsupported scenario format {!r}, expected {}", version, SCENARIO_FORMAT)
     _unknown_keys(doc, _KNOWN["scenario"], "scenario")
     name = doc.get("name")
     _require(isinstance(name, str) and bool(name), "scenario name must be a non-empty string")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -166,14 +167,17 @@ globals().update({"EVT_" + kind.upper(): kind for kind in EVENTS})
 _int = int.__repr__
 _DETAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _scan = json.JSONDecoder().scan_once
-_envelope = itemgetter("tick", "event_kind", "node", "agent", "msg_id", "detail")
+# The fields of a log line, in the order to_json_line writes them.
+_ENVELOPE = ("tick", "event_kind", "node", "agent", "msg_id", "detail")
+_envelope = itemgetter(*_ENVELOPE)
 # Builds a NamedTuple from its fields in order, past the class's own __new__,
 # a Python function that only forwards them; the paths that build a record
 # per event, hop or declaration build it so.
 _new_tuple = tuple.__new__
-# The most detail texts a reader's memo holds (see from_json_line). Bounded,
-# so a read keeps no more decoded details however many distinct texts its
-# log holds; the notes of BENCH_detail_memo.json give the counts behind it.
+# The most written detail tokens a reader's memo holds (see from_json_line).
+# Bounded, so a read keeps no more decoded details however many distinct
+# tokens its log holds; the notes of BENCH_detail_memo.json give the counts
+# behind it.
 _DETAILS_KEPT = 32
 
 
@@ -212,21 +216,46 @@ class LoggedEvent(NamedTuple):
     @classmethod
     def from_json_line(cls, line: str,
                        details: dict[str, dict[str, Any]] | None = None) -> "LoggedEvent":
-        """The event a line holds; the line may end in its ``"\\n"``. The C
-        scanner reads the line, and then a non-empty detail text, in one
-        call each; ``json.loads`` reads a text again only when that scan
-        cannot start or stops short of the text's end (a line's final
-        ``"\\n"`` aside), to skip surrounding whitespace or to raise its own
-        error. A line goes to ``json.loads`` less its ``"\\n"``, and so does
-        a line whose scan fails, so every error is worded as for the bare
-        line. One expression tests every envelope type, and the event is
-        built as a bare tuple.
+        """The event a line holds; the line may end in its ``"\\n"``.
 
-        ``details``, a reader's memo, maps each detail text decoded to its
-        dict, which later events with that text share. Only a text that
-        decoded to a JSON object goes in, so no refusal depends on it, and
-        it is emptied when it holds ``_DETAILS_KEPT`` texts and another
-        comes."""
+        A line as ``to_json_line`` writes it is read by one match of
+        ``_written_line``: its envelope strings hold no escape or control
+        character, so each decodes to itself, and its tick has at most 18
+        digits. Its detail token, the quoted text as written, is looked up
+        in ``details``, a reader's memo that maps each token decoded to its
+        dict, which later events with that token share. A new token is
+        scanned in place and must end where the match ends it; then its
+        text is decoded as below and, if it is not empty, goes into the
+        memo, which is emptied when it holds ``_DETAILS_KEPT`` tokens and
+        another comes. Only a token that decoded to a JSON object goes in,
+        so no refusal depends on the memo.
+
+        Any other line is read without the memo. The C scanner reads the
+        line, and then a non-empty detail text, in one call each;
+        ``json.loads`` reads a text again only when that scan cannot start
+        or stops short of the text's end (a line's final ``"\\n"`` aside),
+        to skip surrounding whitespace or to raise its own error. A line
+        goes to ``json.loads`` less its ``"\\n"``, and so does a line whose
+        scan fails, so every error is worded as for the bare line. One
+        expression tests every envelope type, and the event is built as a
+        bare tuple."""
+        written = _written_line(line)
+        if written is not None:
+            tick, kind, node, agent, msg_id, token = written.groups()
+            if details is not None and (detail := details.get(token)) is not None:
+                return _new_tuple(cls, (int(tick), kind, node, agent, msg_id, detail))
+            start, stop = written.span(6)
+            try:
+                text, end = _scan(line, start)
+            except ValueError:
+                end = None
+            if end == stop:
+                detail = _decode_detail(text)
+                if text and details is not None:
+                    if len(details) >= _DETAILS_KEPT:
+                        details.clear()
+                    details[token] = detail
+                return _new_tuple(cls, (int(tick), kind, node, agent, msg_id, detail))
         try:
             try:
                 raw, end = _scan(line, 0)
@@ -244,25 +273,34 @@ class LoggedEvent(NamedTuple):
         if not (type(tick) is int and type(kind) is type(node) is type(agent)
                 is type(msg_id) is type(text) is str):
             raise ValueError(_envelope_error(raw))
-        if not text:
-            detail = {}
-        elif details is None or (detail := details.get(text)) is None:
-            try:
-                try:
-                    detail, end = _scan(text, 0)
-                    if end != len(text):
-                        detail = json.loads(text)
-                except StopIteration:
-                    detail = json.loads(text)
-            except RecursionError:
-                raise ValueError("detail nests too deeply to decode") from None
-            if type(detail) is not dict:
-                raise ValueError("detail must be empty or the text of a JSON object")
-            if details is not None:
-                if len(details) >= _DETAILS_KEPT:
-                    details.clear()
-                details[text] = detail
-        return _new_tuple(cls, (tick, kind, node, agent, msg_id, detail))
+        return _new_tuple(cls, (tick, kind, node, agent, msg_id, _decode_detail(text)))
+
+
+# What LoggedEvent.to_json_line writes: a tick of at most 18 digits, so that
+# int() reads it under any int-digits limit, four strings that need no escape,
+# and the detail's quoted text as a token to scan. Groups 1-6 are the fields.
+_written_line = re.compile(r"\{%s\}\n?" % ",".join(
+    f'"{key}":' + (r"(0|[1-9][0-9]{0,17})" if key == "tick" else
+                   r'(".*")' if key == "detail" else r'"([^"\\\x00-\x1f]*)"')
+    for key in _ENVELOPE)).fullmatch
+
+
+def _decode_detail(text: str) -> dict[str, Any]:
+    """The dict a detail text decodes to, ``{}`` for the empty text."""
+    if not text:
+        return {}
+    try:
+        try:
+            detail, end = _scan(text, 0)
+            if end != len(text):
+                detail = json.loads(text)
+        except StopIteration:
+            detail = json.loads(text)
+    except RecursionError:
+        raise ValueError("detail nests too deeply to decode") from None
+    if type(detail) is not dict:
+        raise ValueError("detail must be empty or the text of a JSON object")
+    return detail
 
 
 def _envelope_error(raw: Any) -> str:
@@ -271,7 +309,7 @@ def _envelope_error(raw: Any) -> str:
     type, naming a null as null."""
     if type(raw) is not dict:
         return "a log line must be a JSON object"
-    for key in ("tick", "event_kind", "node", "agent", "msg_id", "detail"):
+    for key in _ENVELOPE:
         if key not in raw:
             return f"{key} is missing"
         if type(raw[key]) is not (int if key == "tick" else str):

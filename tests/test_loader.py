@@ -185,8 +185,9 @@ def _known(ref: Any, ids: set[str]) -> bool:
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     _require(isinstance(doc, dict), "scenario document must be a JSON object")
-    _require(doc.get("format") == SCENARIO_FORMAT,
-             "unsupported scenario format {!r}, expected {}", doc.get("format"), SCENARIO_FORMAT)
+    version = doc.get("format")
+    _require(type(version) is int and version == SCENARIO_FORMAT,
+             "unsupported scenario format {!r}, expected {}", version, SCENARIO_FORMAT)
     if not _SCENARIO_KEYS.issuperset(doc):
         _unknown_keys(doc, _SCENARIO_KEYS, "scenario")
     name = doc.get("name")

@@ -179,6 +179,11 @@ CASES = [
     *(("odd character", (key, char)) for key in ENVELOPE[1:]
       for char in ("\x85", "\u2028", "\x1c")),
     ("not UTF-8", None),
+    *(("written escape", char) for char in ("\\", "\u00e9", "\n")),
+    ("raw quote in detail", None),
+    *(("unwritten tick", text) for text in ("-1", "007", "1" * 19)),
+    ("escaped quote in node", None),
+    ("detail that is a written token", None),
     *(("text after a line", text) for text in ("x", "{}", " 1", "\x0b")),
     ("duplicated line", None),
     ("dropped line", None),
@@ -253,6 +258,33 @@ def mutants(logs, count, seed=20261019):
             data = joined(lines)
         elif kind == "odd character":
             lines[at] = _with_character(lines[at], *value)
+            data = joined(lines)
+        elif kind == "written escape":
+            # Escapes other than \" in the detail token of a written line.
+            detail = json.loads(json.loads(lines[at])["detail"] or "{}")
+            lines[at] = _with_detail(lines[at], json.dumps(
+                {**detail, "odd": f"a{value}b"}, sort_keys=True, separators=(",", ":")))
+            data = joined(lines)
+        elif kind == "raw quote in detail":
+            start = lines[at].index('"detail":"') + len('"detail":"')
+            cut = rng.randrange(start, len(lines[at]) - 1)
+            lines[at] = lines[at][:cut] + '"' + lines[at][cut:]
+            data = joined(lines)
+        elif kind == "unwritten tick":
+            lines[at] = _retyped(lines[at], {"tick": value})
+            data = joined(lines)
+        elif kind == "escaped quote in node":
+            lines[at] = _retyped(lines[at], {"node": json.dumps(json.loads(lines[at])["node"] + '"')})
+            data = joined(lines)
+        elif kind == "detail that is a written token":
+            # A written line, then a spaced one whose detail text is the first
+            # line's detail token as written: a string, not an object.
+            while not json.loads(lines[at])["detail"]:
+                at = (at + 1) % len(lines)
+            raw = json.loads(lines[at])
+            raw["detail"] = json.dumps(raw["detail"])
+            assert lines[at].endswith(f',"detail":{raw["detail"]}}}')
+            lines.insert(at + 1, json.dumps(raw))
             data = joined(lines)
         elif kind == "not UTF-8":
             data = bytearray(joined(lines))
