@@ -64,14 +64,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _log_events(path: str, at: list[int]) -> Iterator[LoggedEvent]:
     """Each non-blank line of a saved log, read and decoded one at a time;
     ``at[0]`` is set to the number of each line before it is yielded, so a
-    reader's refusal can name it. A line goes to the decoder as it is read,
-    ``"\\n"`` and all, with one memo for the whole read that maps a written
-    detail token to its dict, so a token repeated on lines as
-    ``to_json_line`` writes them is decoded once (the events that hold it
-    share its dict); only a line that fails to decode is tested for
-    blankness, and skipped if blank. An unreadable or non-UTF-8 file is a
-    parse error, and a non-UTF-8 one names the line and the offset of its
-    first bad byte."""
+    reader's refusal can name it. A line goes to
+    ``LoggedEvent.from_json_line`` as it is read, ``"\\n"`` and all, with
+    one memo for the whole read; only a line that fails to decode is tested
+    for blankness, and skipped if blank, and any other such line is refused
+    with the decoder's words. An unreadable or non-UTF-8 file is a parse
+    error, and a non-UTF-8 one names the line and the offset of its first
+    bad byte."""
     try:
         with open(path, encoding="utf-8") as lines:
             decode = LoggedEvent.from_json_line

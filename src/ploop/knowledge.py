@@ -6,8 +6,9 @@ Records are keyed to a product family (the rendered id of the original
 product) and a generation number so the repository can answer "how much
 have we learned about version N". The runtime reads that count after each
 insert to fire the next-generation design trigger. The repository is
-written, never read back: ``save`` writes one JSON line per record, which
-``ploop run`` leaves beside the event log as ``<name>.repository.jsonl``.
+written, never read back: ``ploop run`` leaves it beside the event log as
+``<name>.repository.jsonl``, one ``KnowledgeRecord.to_json_line`` per record
+in insertion order, through ``write_lines``.
 """
 
 from __future__ import annotations
@@ -176,10 +177,6 @@ class KnowledgeRepository:
 
     def count(self, family: str, generation: int) -> int:
         return self._counts[(family, generation)]
-
-    def save(self, path: Path | str) -> None:
-        """Persist as JSON lines, one record per line, insertion order."""
-        write_lines((path, map(KnowledgeRecord.to_json_line, self._records)))
 
 
 # Lines joined into one write: a whole log joined at once would be held in

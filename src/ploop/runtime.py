@@ -169,7 +169,6 @@ _DETAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _scan = json.JSONDecoder().scan_once
 # The fields of a log line, in the order to_json_line writes them.
 _ENVELOPE = ("tick", "event_kind", "node", "agent", "msg_id", "detail")
-_envelope = itemgetter(*_ENVELOPE)
 # Builds a NamedTuple from its fields in order, past the class's own __new__,
 # a Python function that only forwards them; the paths that build a record
 # per event, hop or declaration build it so.
@@ -225,20 +224,15 @@ class LoggedEvent(NamedTuple):
         in ``details``, a reader's memo that maps each token decoded to its
         dict, which later events with that token share. A new token is
         scanned in place and must end where the match ends it; then its
-        text is decoded as below and, if it is not empty, goes into the
-        memo, which is emptied when it holds ``_DETAILS_KEPT`` tokens and
-        another comes. Only a token that decoded to a JSON object goes in,
-        so no refusal depends on the memo.
+        text is decoded by ``_decode_detail`` and, if it is not empty, goes
+        into the memo, which is emptied when it holds ``_DETAILS_KEPT``
+        tokens and another comes. Only a token that decoded to a JSON object
+        goes in, so no refusal depends on the memo.
 
-        Any other line is read without the memo. The C scanner reads the
-        line, and then a non-empty detail text, in one call each;
-        ``json.loads`` reads a text again only when that scan cannot start
-        or stops short of the text's end (a line's final ``"\\n"`` aside),
-        to skip surrounding whitespace or to raise its own error. A line
-        goes to ``json.loads`` less its ``"\\n"``, and so does a line whose
-        scan fails, so every error is worded as for the bare line. One
-        expression tests every envelope type, and the event is built as a
-        bare tuple."""
+        Any other line, or one whose token scans short, is read without the
+        memo by one ``json.loads`` of the line less its ``"\\n"`` and one
+        ``_envelope_fields`` check, so a refusal is worded as for the bare
+        line."""
         written = _written_line(line)
         if written is not None:
             tick, kind, node, agent, msg_id, token = written.groups()
@@ -257,22 +251,10 @@ class LoggedEvent(NamedTuple):
                     details[token] = detail
                 return _new_tuple(cls, (int(tick), kind, node, agent, msg_id, detail))
         try:
-            try:
-                raw, end = _scan(line, 0)
-                whole = end == len(line) or line[end:] == "\n"
-            except (StopIteration, ValueError):
-                whole = False
-            if not whole:
-                raw = json.loads(line.removesuffix("\n"))
+            raw = json.loads(line.removesuffix("\n"))
         except RecursionError:
             raise ValueError("a log line nests too deeply to decode") from None
-        try:
-            tick, kind, node, agent, msg_id, text = _envelope(raw)
-        except (KeyError, TypeError):
-            raise ValueError(_envelope_error(raw)) from None
-        if not (type(tick) is int and type(kind) is type(node) is type(agent)
-                is type(msg_id) is type(text) is str):
-            raise ValueError(_envelope_error(raw))
+        tick, kind, node, agent, msg_id, text = _envelope_fields(raw)
         return _new_tuple(cls, (tick, kind, node, agent, msg_id, _decode_detail(text)))
 
 
@@ -303,19 +285,20 @@ def _decode_detail(text: str) -> dict[str, Any]:
     return detail
 
 
-def _envelope_error(raw: Any) -> str:
-    """Why a decoded line is not an event: it is not an object, or it names
-    the first field, in envelope order, that is missing or lacks its JSON
-    type, naming a null as null."""
+def _envelope_fields(raw: Any) -> list[Any]:
+    """The six fields of a decoded line, in envelope order. A line that is
+    not an object is refused, and otherwise the first field, in envelope
+    order, that is missing or lacks its JSON type is named, a null as null."""
     if type(raw) is not dict:
-        return "a log line must be a JSON object"
+        raise ValueError("a log line must be a JSON object")
     for key in _ENVELOPE:
         if key not in raw:
-            return f"{key} is missing"
+            raise ValueError(f"{key} is missing")
         if type(raw[key]) is not (int if key == "tick" else str):
-            break
-    got = "null" if raw[key] is None else type(raw[key]).__name__
-    return f"{key} must be {'an integer' if key == 'tick' else 'a string'}, got {got}"
+            got = "null" if raw[key] is None else type(raw[key]).__name__
+            raise ValueError(
+                f"{key} must be {'an integer' if key == 'tick' else 'a string'}, got {got}")
+    return [raw[key] for key in _ENVELOPE]
 
 
 if c_make_encoder is None:

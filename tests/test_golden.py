@@ -3,10 +3,13 @@
 The event log is ploop's behavioural contract, and both report forms and
 the repository file are derived from the same run. A refactor that claims
 to change nothing must leave all four byte-identical for the five
-fixtures and for three small generated scenarios kept under
-``tests/golden/`` (a three-product fleet, twenty parked agents beside one
-product, and six mobile agents under recurring partitions). Re-pin only
-for a deliberate format or behaviour change, and say so in CHANGES.md.
+fixtures and for four small scenarios kept under ``tests/golden/`` (a
+three-product fleet, twenty parked agents beside one product, six mobile
+agents under recurring partitions, and the closed-loop fixture with node
+ids and a serial that hold ``"``, ``\\``, non-ASCII and control
+characters, so most of its lines are read back by the plain path of
+``LoggedEvent.from_json_line``). Re-pin only for a deliberate format or
+behaviour change, and say so in CHANGES.md.
 
 The same runs check ``World.census()`` against a replay of the log's
 spawns and migrations, an oracle that reads no World internals.
@@ -53,6 +56,12 @@ GOLDEN = {
         "6af38c69c949257fdfc0a75fffdef09a9d34c3566ed8101cd4f49cc324892f7a",
         "5b61f51979ae4285a2338b9441160a2455a1c6f31d4f2b45957b0f0e25e29a24",
         "9c084c2cabc2ac589262403f776d02acd0022f1c0c3ba81ce17e927e3c7186a7",
+    ),
+    "tests/golden/escaped.scn": (
+        "3f838d7d396e63980808732dc7e66be709a58b77260c5d45f520bd7693011231",
+        "d4c86fc35d441c1122bf37a7dabb0ba0a7712e420935c44b86b9c6679bf3fe38",
+        "5ca7c77680162b7b3c093d3e10c06abae11a3f46bdf4ef2a30569db47653f3fe",
+        "b62d978baa00897a1dcf4d8b05daaa25f61acbfb563823545c96a75c114eb701",
     ),
     "tests/golden/fleet.scn": (
         "e739ecc944d6f1f79bef4c34ced5c2c2f44c6bc8f9aada9c2b3c77646b22d677",

@@ -16,6 +16,7 @@ from ploop.knowledge import (
     classify_activity,
     explicit_record,
     tacit_record,
+    write_lines,
 )
 from ploop.messages import KEY_KNOWLEDGE_RECORD
 from ploop.runtime import SimParams, SimulationError, tick
@@ -213,7 +214,7 @@ class TestPersistence:
         add_explicit(repo, "battery swells", 40)
         add_tacit(repo, "failure", "overheat", 41)
         path = tmp_path / "repo.jsonl"
-        repo.save(path)
+        write_lines((path, map(KnowledgeRecord.to_json_line, repo.records)))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines == [record.to_json_line() for record in repo.records]
         assert [(raw["record_id"], raw["mode"], raw["payload"], raw["created_at"])
@@ -231,6 +232,6 @@ class TestPersistence:
         for i in range(count):
             add_tacit(repo, TACIT_CATEGORIES[i % 3], f"note {i} é ", i)
         path = tmp_path / "repo.jsonl"
-        repo.save(path)
+        write_lines((path, map(KnowledgeRecord.to_json_line, repo.records)))
         assert path.read_bytes() == "".join(
             record.to_json_line() + "\n" for record in repo.records).encode("utf-8")

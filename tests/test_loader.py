@@ -7,7 +7,7 @@ package's does): one helper call per check, an Enum call per role and
 kind, and a dataclass per agent and stimulus. For every input,
 ``harness.scenario_from_dict`` must give an equal ``Scenario``, with the
 same repr, or raise the same exception class with the same message: the
-five fixtures and the three golden scenarios, every field of every
+five fixtures and the golden scenarios, every field of every
 fixture set to each of ``test_cli.FIELD_VALUES``, dropped, or given the
 value of the same field in the previous entry of its list, every object
 given an unknown key, and seeded mutations of the golden scenarios of
