@@ -173,10 +173,15 @@ _ENVELOPE = ("tick", "event_kind", "node", "agent", "msg_id", "detail")
 # a Python function that only forwards them; the paths that build a record
 # per event, hop or declaration build it so.
 _new_tuple = tuple.__new__
+# The kinds whose detail the World takes from World.shared_detail, and so the
+# only kinds whose detail tokens recur in a log.
+SHARED_KINDS = frozenset({"agent_spawned", "message_sent", "message_delivered",
+                          "message_blocked", "migration_completed", "migration_refused"})
 # The most written detail tokens a reader's memo holds (see from_json_line).
 # Bounded, so a read keeps no more decoded details however many distinct
-# tokens its log holds; the notes of BENCH_detail_memo.json give the counts
-# behind it.
+# tokens its log holds; only SHARED_KINDS lines use it, so one-off tokens do
+# not evict the ones that recur. The notes of BENCH_detail_memo.json give the
+# counts behind it.
 _DETAILS_KEPT = 32
 
 
@@ -207,7 +212,13 @@ class LoggedEvent(NamedTuple):
         other dict can take its ``id`` (see ``World.log_lines``)."""
         tick, kind, node, agent, msg_id, detail = self
         if texts is None or (text := texts.get(id(detail))) is None:
-            text = _quote(detail_str(detail)) if detail else '""'
+            if (kind == EVT_MIGRATION_STARTED and type(detail) is dict and len(detail) == 2
+                    and type(arrive_at := detail.get("arrive_at")) is int
+                    and type(target := detail.get("target")) is str):
+                # The hop's one written form: what detail_str writes for it.
+                text = _quote(f'{{"arrive_at":{_int(arrive_at)},"target":{_quote(target)}}}')
+            else:
+                text = _quote(detail_str(detail)) if detail else '""'
         return (f'{{"tick":{_int(tick)},"event_kind":{_quote(kind)},'
                 f'"node":{_quote(node)},"agent":{_quote(agent)},'
                 f'"msg_id":{_quote(msg_id)},"detail":{text}}}')
@@ -220,14 +231,20 @@ class LoggedEvent(NamedTuple):
         A line as ``to_json_line`` writes it is read by one match of
         ``_written_line``: its envelope strings hold no escape or control
         character, so each decodes to itself, and its tick has at most 18
-        digits. Its detail token, the quoted text as written, is looked up
-        in ``details``, a reader's memo that maps each token decoded to its
-        dict, which later events with that token share. A new token is
-        scanned in place and must end where the match ends it; then its
-        text is decoded by ``_decode_detail`` and, if it is not empty, goes
-        into the memo, which is emptied when it holds ``_DETAILS_KEPT``
-        tokens and another comes. Only a token that decoded to a JSON object
-        goes in, so no refusal depends on the memo.
+        digits. Its detail token, the quoted text as written, is read by the
+        first of these that applies:
+
+        - A line of one of ``SHARED_KINDS``, whose tokens recur, looks its
+          token up in ``details``, a reader's memo that maps each token
+          decoded to its dict, which later events with that token share.
+        - A ``migration_started`` token in the hop's written form, one
+          match of ``_written_hop``, becomes its two fields in text order.
+        - Any other token is scanned in place and must end where the match
+          ends it; then its text is decoded by ``_decode_detail``. On a line
+          of ``SHARED_KINDS`` a text that is not empty goes into the memo,
+          which is emptied when it holds ``_DETAILS_KEPT`` tokens and
+          another comes. Only a token that decoded to a JSON object goes
+          in, so no refusal depends on the memo.
 
         Any other line, or one whose token scans short, is read without the
         memo by one ``json.loads`` of the line less its ``"\\n"`` and one
@@ -236,7 +253,13 @@ class LoggedEvent(NamedTuple):
         written = _written_line(line)
         if written is not None:
             tick, kind, node, agent, msg_id, token = written.groups()
-            if details is not None and (detail := details.get(token)) is not None:
+            if kind not in SHARED_KINDS:
+                details = None
+                if kind == EVT_MIGRATION_STARTED and (hop := _written_hop(token)) is not None:
+                    arrive_at, target = hop.groups()
+                    return _new_tuple(cls, (int(tick), kind, node, agent, msg_id,
+                                            {"arrive_at": int(arrive_at), "target": target}))
+            elif details is not None and (detail := details.get(token)) is not None:
                 return _new_tuple(cls, (int(tick), kind, node, agent, msg_id, detail))
             start, stop = written.span(6)
             try:
@@ -265,6 +288,12 @@ _written_line = re.compile(r"\{%s\}\n?" % ",".join(
     f'"{key}":' + (r"(0|[1-9][0-9]{0,17})" if key == "tick" else
                    r'(".*")' if key == "detail" else r'"([^"\\\x00-\x1f]*)"')
     for key in _ENVELOPE)).fullmatch
+# The detail token of a migration_started line as to_json_line writes it: an
+# arrive_at of at most 18 digits, as _written_line reads a tick, and a target
+# that decodes to itself. Groups 1-2 are the values.
+_written_hop = re.compile(
+    r'"\{\\"arrive_at\\":(0|-?[1-9][0-9]{0,17}),\\"target\\":\\"([^"\\\x00-\x1f]*)\\"\}"'
+).fullmatch
 
 
 def _decode_detail(text: str) -> dict[str, Any]:
@@ -589,10 +618,9 @@ class World:
         ``EVENTS`` keys, in order, mapped to the values. Every value is a
         str, so equal keys mean equal details. The World keeps each dict
         for its whole life, and the events that log it share it. The kinds
-        whose details recur take theirs from here: ``agent_spawned``,
-        ``message_sent``, ``migration_completed``, ``migration_refused``,
-        and ``message_delivered``, whose dict ``message_blocked`` shares;
-        the other kinds' details hardly repeat and stay dict literals."""
+        whose details recur, ``SHARED_KINDS``, take theirs from here, and
+        ``message_blocked`` shares the dict of ``message_delivered``; the
+        other kinds' details hardly repeat and stay dict literals."""
         detail = self._details.get(key)
         if detail is None:
             detail = self._details[key] = dict(zip(EVENTS[key[0]][1], key[1:]))

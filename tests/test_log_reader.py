@@ -7,7 +7,7 @@ event is ``run_started`` and its last ``run_finished``, and it names the
 line of every refused log by keeping the number of the line last read, or
 names the file alone when it read none. For every input, ``ploop report``
 (text and ``--json``) must give the same exit code, stdout and stderr as the
-reference: the logs of the five fixtures and the three golden scenarios,
+reference: the logs of the five fixtures and the four golden scenarios,
 and a few hundred seeded mutations of them.
 """
 
@@ -163,6 +163,18 @@ DEEP = "[" * 100_000 + "]" * 100_000
 ENVELOPE = ("tick", "event_kind", "node", "agent", "msg_id", "detail")
 WRONG_TICKS = ('"1"', "1.0", "true", "false", "null", "[]", "{}")
 WRONG_STRINGS = ("1", "1.5", "true", "null", "[]", "{}")
+# Detail texts for a migration_started line, "<a>" and "<t>" standing for its
+# own arrive_at and target: each is off the hop's written form, or at its edge.
+HOP_DETAILS = (
+    *(f'{{"arrive_at":{a},"target":"<t>"}}'
+      for a in ("-0", "007", "1" * 19, "1.0", "true", "null", '"5"', "-5", "9" * 18)),
+    *(f'{{"arrive_at":<a>,"target":"<t>{c}"}}' for c in (r"\\", r"\u00e9", "\u00e9", r'\"')),
+    '{"target":"<t>","arrive_at":<a>}',
+    '{"arrive_at":<a>,"target":"<t>","via":"<t>"}',
+    '{"arrive_at":<a>}',
+    '{"target":"<t>"}',
+    '{"arrive_at": <a>, "target": "<t>"}',
+)
 
 # Every case a mutation must cover at least once: a kind and its parameter.
 CASES = [
@@ -184,6 +196,7 @@ CASES = [
     *(("unwritten tick", text) for text in ("-1", "007", "1" * 19)),
     ("escaped quote in node", None),
     ("detail that is a written token", None),
+    *(("hop detail", text) for text in HOP_DETAILS),
     *(("text after a line", text) for text in ("x", "{}", " 1", "\x0b")),
     ("duplicated line", None),
     ("dropped line", None),
@@ -216,6 +229,22 @@ def _with_character(line, key, char):
         return json.dumps(raw, separators=(",", ":"))
     raw[key] += "\0"
     return json.dumps(raw, separators=(",", ":")).replace("\\u0000", char)
+
+
+def hop_lines(lines):
+    """The indexes of the migration_started lines among lines."""
+    return [n for n, line in enumerate(lines) if json.loads(line)["event_kind"] == "migration_started"]
+
+
+def with_hop_detail(line, text):
+    """A migration_started line with its detail text replaced by text, its
+    own arrive_at and target put for "<a>" and "<t>", and any character
+    outside ASCII left raw in the line."""
+    raw = json.loads(line)
+    detail = json.loads(raw["detail"])
+    raw["detail"] = (text.replace("<a>", str(detail["arrive_at"]))
+                     .replace("<t>", json.dumps(detail["target"])[1:-1]))
+    return json.dumps(raw, separators=(",", ":"), ensure_ascii=False)
 
 
 def mutants(logs, count, seed=20261019):
@@ -285,6 +314,14 @@ def mutants(logs, count, seed=20261019):
             raw["detail"] = json.dumps(raw["detail"])
             assert lines[at].endswith(f',"detail":{raw["detail"]}}}')
             lines.insert(at + 1, json.dumps(raw))
+            data = joined(lines)
+        elif kind == "hop detail":
+            # A log without a hop line gives way to the next that has one.
+            while not (hops := hop_lines(lines)):
+                name = names[(names.index(name) + 1) % len(names)]
+                lines = list(logs[name])
+            at = hops[at % len(hops)]
+            lines[at] = with_hop_detail(lines[at], value)
             data = joined(lines)
         elif kind == "not UTF-8":
             data = bytearray(joined(lines))
